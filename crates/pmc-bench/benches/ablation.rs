@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmc_bench::workloads::graph_with_tree;
 use pmc_mincut::{naive_two_respecting, two_respecting_mincut, InterestStrategy, TwoRespectParams};
-use pmc_monge::RowMinimaAlgo;
+use pmc_monge::RowMinimaStrategy;
 use pmc_parallel::Meter;
 use pmc_tree::{PathStrategy, RootedTree};
 use std::hint::black_box;
@@ -32,7 +32,7 @@ fn bench_ablation(c: &mut Criterion) {
         (
             "dc_monge",
             TwoRespectParams {
-                monge_algo: RowMinimaAlgo::DivideConquer,
+                monge_algo: RowMinimaStrategy::DivideConquer,
                 ..TwoRespectParams::default()
             },
         ),

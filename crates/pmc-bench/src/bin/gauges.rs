@@ -9,8 +9,7 @@
 
 use pmc_bench::workloads;
 use pmc_bench::Table;
-use pmc_mincut::exact::exact_mincut_metered;
-use pmc_mincut::ExactParams;
+use pmc_mincut::{exact_mincut_in, Deadline, ExactParams, GraphContext};
 use pmc_parallel::Meter;
 
 fn main() {
@@ -29,7 +28,8 @@ fn main() {
     for &n in sizes {
         let w = workloads::non_sparse(n, 99);
         let meter = Meter::enabled();
-        let r = exact_mincut_metered(&w.graph, &ExactParams::default(), &meter);
+        let ctx = GraphContext::build(&w.graph, &meter);
+        let r = exact_mincut_in(&ctx, &ExactParams::default(), &Deadline::never(), &meter);
         assert!(r.cut.value > 0);
         let rep = meter.report();
         let get = |k: &str| rep.depth.get(k).copied().unwrap_or(0).to_string();

@@ -3,13 +3,12 @@
 use crate::table::{fmt_count, Table};
 use crate::workloads;
 use pmc_graph::{stoer_wagner_mincut, CutResult, Graph};
-use pmc_mincut::exact::exact_mincut_metered;
 use pmc_mincut::{
-    approx_mincut, approx_mincut_eps, exact_mincut, greedy_tree_packing, naive_two_respecting,
-    two_respecting_mincut, ApproxParams, ExactParams, GraphContext, InterestStrategy,
-    PackingParams, TreeContext, TwoRespectParams,
+    approx_mincut, approx_mincut_eps, exact_mincut, exact_mincut_in, greedy_tree_packing,
+    naive_two_respecting, two_respecting_mincut, ApproxParams, Deadline, ExactParams,
+    ExactResult, GraphContext, InterestStrategy, PackingParams, TreeContext, TwoRespectParams,
 };
-use pmc_monge::RowMinimaAlgo;
+use pmc_monge::RowMinimaStrategy;
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_tree::{LcaStrategy, PathStrategy, RootedTree};
 use std::sync::Arc;
@@ -17,6 +16,12 @@ use std::time::Instant;
 
 fn lg(n: usize) -> f64 {
     (n.max(2) as f64).log2()
+}
+
+/// One metered exact solve of `g` (default parameters, no deadline).
+fn exact_metered(g: &Graph, meter: &Meter) -> ExactResult {
+    let ctx = GraphContext::build(g, meter);
+    exact_mincut_in(&ctx, &ExactParams::default(), &Deadline::never(), meter)
 }
 
 /// T1 — Table 1: measured work of this paper's algorithm against the
@@ -38,7 +43,7 @@ pub fn run_table1(sizes: &[usize], seed: u64) -> Table {
         let w = workloads::non_sparse(n, seed);
         let g = w.graph;
         let meter = Meter::enabled();
-        let res = exact_mincut_metered(&g, &ExactParams::default(), &meter);
+        let res = exact_metered(&g, &meter);
         let ours = meter.report().total_work();
 
         // Naive per-tree cost, measured on one spanning tree and scaled
@@ -233,7 +238,7 @@ fn timed_exact(g: &Graph, p: usize) -> (f64, u64) {
 /// field of the recorded benchmark trajectory).
 pub fn metered_exact_queries(g: &Graph) -> u64 {
     let meter = Meter::enabled();
-    let r = exact_mincut_metered(g, &ExactParams::default(), &meter);
+    let r = exact_metered(g, &meter);
     assert!(r.cut.value > 0);
     meter.report().work_of(CostKind::CutQuery)
 }
@@ -347,6 +352,19 @@ impl AmortizeProbe {
     }
 }
 
+/// The pre-engine tree-context build profile: every sub-build
+/// back-to-back on a fresh one-thread pool. The rebuild-per-tree
+/// baseline of [`measure_amortize`].
+fn build_sequential<'g>(
+    g: &'g Graph,
+    tree: Arc<RootedTree>,
+    params: &TwoRespectParams,
+    meter: &Meter,
+) -> TreeContext<'g> {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    pool.install(|| TreeContext::build(g, tree, params, meter))
+}
+
 /// E-amortize — the two-level engine's Phase 5 profile on one fixed
 /// tree packing:
 ///
@@ -394,7 +412,7 @@ pub fn measure_amortize(n: usize, seed: u64) -> AmortizeProbe {
         let mut best = CutResult::infinite();
         for edges in &trees {
             let tree = Arc::new(RootedTree::from_edge_list(gc.n(), edges, 0));
-            let tc = TreeContext::build_sequential(&gc, tree, &params, &m);
+            let tc = build_sequential(&gc, tree, &params, &m);
             best = best.min(tc.solve(&m).cut);
         }
         let (v, d) = gc.min_weighted_degree_vertex();
@@ -533,7 +551,7 @@ pub fn run_ablation(n: usize, seed: u64) -> (Table, AblationSummary) {
     let (_, _, dc_monge_entries, _) = run(
         "centroid + D&C monge",
         TwoRespectParams {
-            monge_algo: RowMinimaAlgo::DivideConquer,
+            monge_algo: RowMinimaStrategy::DivideConquer,
             ..TwoRespectParams::default()
         },
     );

@@ -254,6 +254,11 @@ mod tests {
 
     #[test]
     fn disabled_probes_are_inert() {
+        // Sibling tests arm scopes on other harness threads; holding the
+        // scope serialization mutex keeps them out while this test
+        // observes the disarmed state. A sibling that panicked inside its
+        // scope may have poisoned the mutex, which guards no data.
+        let _serial = serial_lock().lock().unwrap_or_else(|e| e.into_inner());
         point("nope");
         point_panicking("nope");
         assert!(!faults_active());

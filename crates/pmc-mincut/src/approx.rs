@@ -10,7 +10,7 @@
 //! separation between the window and the layers above/below). The
 //! estimate is then `value_s · 2^s`.
 //!
-//! Layer min-cuts use [`mincut_small`]: its output is always a genuine
+//! Layer min-cuts use [`mincut_small_in`]: its output is always a genuine
 //! cut value (never an underestimate), and Claims 3.12/3.13 only need
 //! one-sided accuracy away from the window, so classification is safe
 //! even where the packing budget is exceeded (see DESIGN.md).
@@ -20,14 +20,14 @@
 //! is in fact exact — `ApproxResult::below_window` reports this.
 
 use crate::engine::GraphContext;
-use crate::exact::{mincut_small, mincut_small_in};
+use crate::exact::mincut_small_in;
 use crate::packing::PackingParams;
 use crate::two_respect::TwoRespectParams;
 use pmc_graph::Graph;
 use pmc_parallel::meter::Meter;
 use pmc_sparsify::certificate::k_certificate;
 use pmc_sparsify::hierarchy::{CertificateHierarchy, ExclusiveHierarchy, HierarchyParams};
-use pmc_sparsify::skeleton::{skeleton, skeleton_probability};
+use pmc_sparsify::skeleton::{skeleton, skeleton_cap, skeleton_probability};
 use rayon::prelude::*;
 
 /// Parameters of the approximation phase.
@@ -180,13 +180,13 @@ pub fn approx_mincut_eps(
     let p = skeleton_probability(g.n(), eps, lambda_under, c);
     if p >= 1.0 {
         // The graph is already in the exactly-measurable regime.
-        return mincut_small(g, &params.two_respect, &params.packing, meter).value;
+        let ctx = GraphContext::attach(g, meter);
+        return mincut_small_in(&ctx, &params.two_respect, &params.packing, meter).value;
     }
-    let cap_scale = (c * (g.n().max(2) as f64).ln() / (eps * eps)).ceil();
-    let cap = (8.0 * cap_scale) as u64;
+    let cap = skeleton_cap(g.n(), eps, c);
     let h = skeleton(g, p, cap, seed, meter);
-    let hc = k_certificate(&h, 2 * cap, meter);
-    let value = mincut_small(&hc, &params.two_respect, &params.packing, meter).value;
+    let hctx = GraphContext::adopt(k_certificate(&h, 2 * cap, meter), meter);
+    let value = mincut_small_in(&hctx, &params.two_respect, &params.packing, meter).value;
     if value == u64::MAX {
         return 0;
     }

@@ -27,13 +27,12 @@
 //! probes — the substrate the serving/batching layers build on.
 //!
 //! The one-shot free functions ([`crate::exact_mincut`],
-//! [`crate::mincut_small`], [`crate::two_respecting_mincut`],
-//! [`crate::approx_mincut`]) remain as thin wrappers that build a
-//! context and solve once, so the pre-engine API is unchanged.
+//! [`crate::two_respecting_mincut`], [`crate::approx_mincut`]) build a
+//! context and solve once.
 //!
 //! ```
 //! use pmc_mincut::engine::GraphContext;
-//! use pmc_mincut::{ExactParams, exact_mincut_in};
+//! use pmc_mincut::{exact_mincut_in, Deadline, ExactParams};
 //! use pmc_parallel::Meter;
 //!
 //! let g = pmc_graph::generators::ring_of_cliques(4, 5, 6, 2);
@@ -41,18 +40,19 @@
 //! let ctx = GraphContext::build(&g, &meter);
 //! // The context is reusable: repeated solves share every
 //! // graph-lifetime structure and return identical results.
-//! let a = exact_mincut_in(&ctx, &ExactParams::default(), &meter);
-//! let b = exact_mincut_in(&ctx, &ExactParams::default(), &meter);
+//! let never = Deadline::never();
+//! let a = exact_mincut_in(&ctx, &ExactParams::default(), &never, &meter);
+//! let b = exact_mincut_in(&ctx, &ExactParams::default(), &never, &meter);
 //! assert_eq!(a.cut.value, 4);
 //! assert_eq!(a.cut, b.cut);
 //! ```
 
 use crate::cutquery::CutQuery;
 use crate::interest::InterestEngine;
-use crate::two_respect::{two_respecting_mincut_in, TwoRespectOutcome, TwoRespectParams};
+use crate::two_respect::TwoRespectParams;
 use pmc_graph::{CutResult, Graph};
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_parallel::scratch::ScratchPool;
+use pmc_parallel::scratch::with_scratch;
 use pmc_tree::{LcaEngine, PathDecomposition, RootedTree};
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -106,8 +106,8 @@ impl<'g> GraphContext<'g> {
     }
 
     /// Borrow the caller's graph as-is (no coalescing, no copy) — the
-    /// wrapper path that must preserve the exact pre-engine semantics
-    /// of [`crate::mincut_small`] and [`crate::approx_mincut`].
+    /// path that keeps [`crate::approx_mincut`] and direct
+    /// [`crate::mincut_small_in`] callers on the multigraph they passed.
     pub fn attach(g: &'g Graph, meter: &Meter) -> GraphContext<'g> {
         GraphContext::finish(GraphStore::Borrowed(g), meter)
     }
@@ -206,7 +206,9 @@ impl<'g> GraphContext<'g> {
 
 /// Tree-lifetime state of the solver engine: everything that depends on
 /// one packed tree's postorder. Built once per tree; solving, batched
-/// queries, and repeated solves all share it.
+/// queries, and repeated solves all share it. Its Theorem 4.2 solve,
+/// [`TreeContext::solve`], lives in [`crate::two_respect`] next to the
+/// stages it runs.
 pub struct TreeContext<'g> {
     tree: Arc<RootedTree>,
     lca: LcaEngine,
@@ -214,10 +216,6 @@ pub struct TreeContext<'g> {
     decomp: PathDecomposition,
     interest: InterestEngine,
     params: TwoRespectParams,
-    /// Recycled per-context workspaces: batched queries and repeated
-    /// solves against this context reuse warm buffers instead of
-    /// allocating (DESIGN.md §13).
-    scratch: ScratchPool,
 }
 
 impl<'g> TreeContext<'g> {
@@ -253,20 +251,7 @@ impl<'g> TreeContext<'g> {
         // Construction critical path: LCA/centroid levels ~ log n plus
         // the range-tree height (DESIGN.md §8).
         meter.record_depth("engine:tree_build", lg2(tree.n()) + q.range_height() as u64);
-        TreeContext { tree, lca, q, decomp, interest, params: *params, scratch: ScratchPool::new() }
-    }
-
-    /// The pre-engine build profile: every sub-build back-to-back on
-    /// one thread. This is the rebuild-per-tree ablation baseline of
-    /// the `E-amortize` experiment, not a production path.
-    pub fn build_sequential(
-        g: &'g Graph,
-        tree: Arc<RootedTree>,
-        params: &TwoRespectParams,
-        meter: &Meter,
-    ) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
-        pool.install(|| Self::build(g, tree, params, meter))
+        TreeContext { tree, lca, q, decomp, interest, params: *params }
     }
 
     /// Build from a packed tree's edge list (the Phase 5 entry point).
@@ -350,13 +335,6 @@ impl<'g> TreeContext<'g> {
         self.q.cov_batch_into(es, out);
     }
 
-    /// This context's recycled workspace pool (shared by the batch
-    /// facades and the solve stages).
-    #[inline]
-    pub fn scratch_pool(&self) -> &ScratchPool {
-        &self.scratch
-    }
-
     /// One 2-respecting cut value.
     #[inline]
     pub fn cut(&self, e: u32, f: u32, meter: &Meter) -> u64 {
@@ -370,11 +348,12 @@ impl<'g> TreeContext<'g> {
     }
 
     /// Batched 2-respecting cut values into a caller-owned buffer,
-    /// using this context's recycled workspace pool: with warm buffers
-    /// the steady-state call performs zero heap allocations (the
-    /// counting-allocator gate in `pmc-bench` pins this).
+    /// using the calling worker's recycled workspace
+    /// ([`with_scratch`]): with warm buffers the steady-state call
+    /// performs zero heap allocations (the counting-allocator gate in
+    /// `pmc-bench` pins this).
     pub fn cut_batch_into(&self, pairs: &[(u32, u32)], out: &mut Vec<u64>, meter: &Meter) {
-        self.scratch.with(|s| self.q.cut_batch_with(pairs, s, out, meter));
+        with_scratch(|s| self.q.cut_batch_with(pairs, s, out, meter));
     }
 
     /// [`TreeContext::cut_batch`] under a cooperative deadline: answers
@@ -388,13 +367,6 @@ impl<'g> TreeContext<'g> {
     ) -> crate::cutquery::BatchOutcome {
         self.q.cut_batch_until(pairs, deadline, meter)
     }
-
-    /// The minimum 2-respecting cut of this tree (Theorem 4.2), reusing
-    /// every prebuilt structure. Repeated calls return identical
-    /// results.
-    pub fn solve(&self, meter: &Meter) -> TwoRespectOutcome {
-        two_respecting_mincut_in(self, meter)
-    }
 }
 
 #[cfg(test)]
@@ -402,6 +374,7 @@ mod tests {
     use super::*;
     use crate::exact::{exact_mincut, exact_mincut_in, ExactParams};
     use crate::two_respect::two_respecting_mincut;
+    use pmc_fault::Deadline;
     use pmc_graph::generators;
     use pmc_parallel::spanning_forest::spanning_forest;
     use rand::rngs::StdRng;
@@ -482,7 +455,8 @@ mod tests {
         let m = Meter::disabled();
         let params = TwoRespectParams::default();
         let par = TreeContext::build(&g, Arc::clone(&tree), &params, &m);
-        let seq = TreeContext::build_sequential(&g, Arc::clone(&tree), &params, &m);
+        let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+        let seq = one.install(|| TreeContext::build(&g, Arc::clone(&tree), &params, &m));
         assert_eq!(par.solve(&m).cut, seq.solve(&m).cut);
         assert_eq!(par.cov_all(), seq.cov_all());
     }
@@ -516,8 +490,8 @@ mod tests {
         let ctx = GraphContext::build(&g, &m);
         let params = ExactParams::default();
         let one_shot = exact_mincut(&g, &params);
-        let a = exact_mincut_in(&ctx, &params, &m);
-        let b = exact_mincut_in(&ctx, &params, &m);
+        let a = exact_mincut_in(&ctx, &params, &Deadline::never(), &m);
+        let b = exact_mincut_in(&ctx, &params, &Deadline::never(), &m);
         assert_eq!(a.cut, one_shot.cut);
         assert_eq!(a.cut, b.cut);
     }

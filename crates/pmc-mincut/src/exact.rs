@@ -23,7 +23,7 @@ use pmc_fault::{Deadline, DegradeReason, PmcError, SolveQuality};
 use pmc_graph::{CutResult, Graph};
 use pmc_parallel::meter::Meter;
 use pmc_sparsify::certificate::k_certificate;
-use pmc_sparsify::skeleton::{skeleton, skeleton_probability};
+use pmc_sparsify::skeleton::{skeleton, skeleton_cap, skeleton_probability};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -113,38 +113,16 @@ impl ExactParams {
     }
 }
 
-/// Exact minimum cut of `g` (Theorem 4.1 / 4.26), w.h.p.
+/// Exact minimum cut of `g` (Theorem 4.1 / 4.26), w.h.p.: the one-shot
+/// form of [`exact_mincut_in`] — builds the graph-lifetime
+/// [`GraphContext`] and solves once, unmetered and without a deadline.
+/// Callers that solve the same graph repeatedly, meter the run, or need
+/// cancellation build the context themselves and call
+/// [`exact_mincut_in`].
 pub fn exact_mincut(g: &Graph, params: &ExactParams) -> ExactResult {
-    exact_mincut_metered(g, params, &Meter::disabled())
-}
-
-/// [`exact_mincut`] with work-span accounting. One-shot wrapper: builds
-/// the graph-lifetime [`GraphContext`] and solves once; callers that
-/// solve the same graph repeatedly should build the context themselves
-/// and use [`exact_mincut_in`].
-pub fn exact_mincut_metered(g: &Graph, params: &ExactParams, meter: &Meter) -> ExactResult {
-    let ctx = GraphContext::build(g, meter);
-    exact_mincut_in(&ctx, params, meter)
-}
-
-/// [`exact_mincut`] over a prebuilt [`GraphContext`]: the graph-lifetime
-/// state (coalesced graph, connectivity, degrees, fallback cut) is
-/// reused across calls; only the per-run sampling and per-tree contexts
-/// are built here.
-pub fn exact_mincut_in(ctx: &GraphContext<'_>, params: &ExactParams, meter: &Meter) -> ExactResult {
-    exact_mincut_deadline_in(ctx, params, &Deadline::never(), meter)
-}
-
-/// [`exact_mincut`] under a cooperative [`Deadline`]: one-shot wrapper
-/// over [`exact_mincut_deadline_in`].
-pub fn exact_mincut_deadline(
-    g: &Graph,
-    params: &ExactParams,
-    deadline: &Deadline,
-    meter: &Meter,
-) -> ExactResult {
-    let ctx = GraphContext::build(g, meter);
-    exact_mincut_deadline_in(&ctx, params, deadline, meter)
+    let meter = Meter::disabled();
+    let ctx = GraphContext::build(g, &meter);
+    exact_mincut_in(&ctx, params, &Deadline::never(), &meter)
 }
 
 /// Map a phase-boundary [`Deadline::check`] error onto the degradation
@@ -158,16 +136,21 @@ fn degrade_reason_of(e: PmcError) -> DegradeReason {
     }
 }
 
-/// The deadline-aware exact pipeline. The token is consulted at every
-/// phase boundary ([`Deadline::check`], which also spends one unit of a
-/// logical budget) and per tree inside the Phase 5 parallel loop
-/// (non-consuming [`Deadline::expired`]). On expiry the run stops
-/// where it is and returns the best *valid* cut accumulated so far —
-/// at minimum the min-degree fallback [`GraphContext::min_degree_cut`]
-/// — flagged [`SolveQuality::Degraded`] with the phase it died in. It
-/// never blocks past the token and never returns an unflagged partial
-/// answer.
-pub fn exact_mincut_deadline_in(
+/// The exact pipeline over a prebuilt [`GraphContext`]: the
+/// graph-lifetime state (coalesced graph, connectivity, degrees,
+/// fallback cut) is reused across calls; only the per-run sampling and
+/// per-tree contexts are built here. Pass [`Deadline::never`] when the
+/// run needs no cancellation.
+///
+/// The token is consulted at every phase boundary ([`Deadline::check`],
+/// which also spends one unit of a logical budget) and per tree inside
+/// the Phase 5 parallel loop (non-consuming [`Deadline::expired`]). On
+/// expiry the run stops where it is and returns the best *valid* cut
+/// accumulated so far — at minimum the min-degree fallback
+/// [`GraphContext::min_degree_cut`] — flagged [`SolveQuality::Degraded`]
+/// with the phase it died in. It never blocks past the token and never
+/// returns an unflagged partial answer.
+pub fn exact_mincut_in(
     ctx: &GraphContext<'_>,
     params: &ExactParams,
     deadline: &Deadline,
@@ -180,10 +163,8 @@ pub fn exact_mincut_deadline_in(
     let gc = ctx.graph();
     let mut stats = ExactStats::default();
     // The degradation ladder's floor: always a genuine cut of `g`.
-    let fallback = ctx.min_degree_cut();
-    // Best valid candidate accumulated so far; refined phase by phase.
-    let degraded = |stats: ExactStats, reason: pmc_fault::DegradeReason| ExactResult {
-        cut: fallback.clone(),
+    let degraded = |stats: ExactStats, reason: DegradeReason| ExactResult {
+        cut: ctx.min_degree_cut(),
         stats,
         quality: SolveQuality::Degraded(reason),
     };
@@ -211,10 +192,8 @@ pub fn exact_mincut_deadline_in(
         return degraded(stats, degrade_reason_of(e));
     }
     pmc_fault::point("engine:phase2_skeleton");
-    let eps = params.skeleton_eps;
-    let cap_scale = (params.skeleton_c * (gc.n().max(2) as f64).ln() / (eps * eps)).ceil();
-    let cap = (8.0 * cap_scale) as u64;
-    let mut p = skeleton_probability(gc.n(), eps, lambda_est, params.skeleton_c);
+    let cap = skeleton_cap(gc.n(), params.skeleton_eps, params.skeleton_c);
+    let mut p = skeleton_probability(gc.n(), params.skeleton_eps, lambda_est, params.skeleton_c);
     let mut h = skeleton(gc, p, cap, params.seed, meter);
     let mut retries = 0;
     while !h.is_connected() && p < 1.0 {
@@ -233,8 +212,7 @@ pub fn exact_mincut_deadline_in(
         return degraded(stats, degrade_reason_of(e));
     }
     pmc_fault::point("engine:phase3_certificate");
-    let k_cert = 2 * cap;
-    let hc = k_certificate(&h, k_cert, meter);
+    let hc = k_certificate(&h, 2 * cap, meter);
     stats.certificate_weight = hc.total_weight();
 
     // Phase 4: greedy packing.
@@ -245,19 +223,40 @@ pub fn exact_mincut_deadline_in(
     let trees = greedy_tree_packing(&hc, &params.packing, meter);
     stats.num_trees = trees.len();
 
-    // Phase 5: per-tree 2-respecting minimum cuts in the original graph,
-    // in parallel (the paper's outermost parallel loop). Each packed
-    // tree gets a tree-lifetime context (parallel sub-builds inside);
-    // the graph-lifetime state comes from `ctx`. The pipeline's
-    // interest-strategy knob overrides the per-solver one. Trees are
-    // skipped (not solved) once the deadline expires mid-loop; a
-    // skipped tree flags the whole run as degraded, because the packing
+    // Phase 5: per-tree 2-respecting minimum cuts in the original
+    // graph. The pipeline's interest-strategy knob overrides the
+    // per-solver one. A tree skipped because the deadline expired
+    // mid-loop flags the whole run as degraded, because the packing
     // guarantee needs every tree.
     if let Err(e) = deadline.check("phase5:trees") {
         return degraded(stats, degrade_reason_of(e));
     }
     let tr_params =
         TwoRespectParams { interest_strategy: params.interest_strategy, ..params.two_respect };
+    let (cut, skipped) = min_over_trees(ctx, &trees, &tr_params, deadline, meter);
+    let quality = if skipped {
+        SolveQuality::Degraded(deadline.degrade_reason("phase5:trees"))
+    } else {
+        SolveQuality::Exact
+    };
+    ExactResult { cut, stats, quality }
+}
+
+/// The per-tree loop shared by Phase 5 and [`mincut_small_in`], in
+/// parallel over the packed trees (the paper's outermost parallel
+/// loop). Each tree gets a tree-lifetime [`TreeContext`] over `ctx`'s
+/// graph and contributes its minimum 2-respecting cut; the min-degree
+/// fallback [`GraphContext::min_degree_cut`] is always a candidate, so
+/// the result is a genuine cut of the graph. Once `deadline` expires
+/// the remaining trees are skipped, and the flag reports that some were.
+fn min_over_trees(
+    ctx: &GraphContext<'_>,
+    trees: &[Vec<(u32, u32)>],
+    two_respect: &TwoRespectParams,
+    deadline: &Deadline,
+    meter: &Meter,
+) -> (CutResult, bool) {
+    let g = ctx.graph();
     let skipped = AtomicBool::new(false);
     let from_trees = trees
         .par_iter()
@@ -268,43 +267,21 @@ pub fn exact_mincut_deadline_in(
                 skipped.store(true, Ordering::Relaxed);
                 return CutResult::infinite();
             }
-            let tc = TreeContext::from_edges(gc, edges, 0, &tr_params, meter);
-            tc.solve(meter).cut
+            TreeContext::from_edges(g, edges, 0, two_respect, meter).solve(meter).cut
         })
         .reduce(CutResult::infinite, CutResult::min);
-
-    // Always-valid fallback candidate: the minimum weighted degree
-    // (precomputed once in the context).
-    let cut = from_trees.min(fallback);
     // Relaxed: see the store above.
-    let quality = if skipped.load(Ordering::Relaxed) {
-        SolveQuality::Degraded(deadline.degrade_reason("phase5:trees"))
-    } else {
-        SolveQuality::Exact
-    };
-    ExactResult { cut, stats, quality }
+    (from_trees.min(ctx.min_degree_cut()), skipped.load(Ordering::Relaxed))
 }
 
 /// Exact min-cut for graphs whose minimum cut is already `O(polylog)`
 /// (certificates, skeletons, hierarchy layers): packs trees directly on
-/// `g` without the sampling phases. Returns a valid cut value of `g`
-/// always; equals the minimum w.h.p. whenever the min cut is small
-/// enough for the packing iteration budget — exactly the regime §3 uses
-/// it in (layer classification errs only upward, which Claim 3.13
-/// tolerates).
-pub fn mincut_small(
-    g: &Graph,
-    two_respect: &TwoRespectParams,
-    packing: &PackingParams,
-    meter: &Meter,
-) -> CutResult {
-    let ctx = GraphContext::attach(g, meter);
-    mincut_small_in(&ctx, two_respect, packing, meter)
-}
-
-/// [`mincut_small`] over a prebuilt [`GraphContext`] — the §3 hierarchy
-/// and approximation layers call this once per layer graph, deriving
-/// connectivity/degree state exactly once instead of on every probe.
+/// the context's graph without the sampling phases. Returns a valid cut
+/// value always; equals the minimum w.h.p. whenever the min cut is
+/// small enough for the packing iteration budget — exactly the regime
+/// §3 uses it in (layer classification errs only upward, which
+/// Claim 3.13 tolerates). The §3 hierarchy calls this once per layer
+/// graph, deriving connectivity/degree state exactly once per layer.
 pub fn mincut_small_in(
     ctx: &GraphContext<'_>,
     two_respect: &TwoRespectParams,
@@ -314,16 +291,8 @@ pub fn mincut_small_in(
     if let Some(cut) = ctx.trivial_cut() {
         return cut;
     }
-    let g = ctx.graph();
-    let trees = greedy_tree_packing(g, packing, meter);
-    let from_trees = trees
-        .par_iter()
-        .map(|edges| {
-            let tc = TreeContext::from_edges(g, edges, 0, two_respect, meter);
-            tc.solve(meter).cut
-        })
-        .reduce(CutResult::infinite, CutResult::min);
-    from_trees.min(ctx.min_degree_cut())
+    let trees = greedy_tree_packing(ctx.graph(), packing, meter);
+    min_over_trees(ctx, &trees, two_respect, &Deadline::never(), meter).0
 }
 
 #[cfg(test)]
@@ -334,7 +303,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn assert_exact(g: &Graph, params: &ExactParams, label: &str) {
+    fn assert_exact(g: &Graph, params: &ExactParams, label: &str) -> ExactResult {
         let expect = stoer_wagner_mincut(g).value;
         let got = exact_mincut(g, params);
         assert_eq!(got.cut.value, expect, "{label}");
@@ -344,6 +313,7 @@ mod tests {
             side[v as usize] = true;
         }
         assert_eq!(cut_of_partition(g, &side), got.cut.value, "{label} side");
+        got
     }
 
     #[test]
@@ -380,12 +350,21 @@ mod tests {
 
     #[test]
     fn heavy_min_cut_graphs_exact() {
-        // Min-cut large enough that the skeleton genuinely subsamples.
+        // Min-cut large enough that the skeleton genuinely subsamples
+        // (p < 1) under both presets, so sampling and the certificate
+        // cap are pinned against the oracle. The paper preset's larger
+        // constants need λ ≈ 60000 at this n to get there.
         let mut rng = StdRng::seed_from_u64(603);
         for trial in 0..4 {
-            let g = generators::heavy_cycle_with_chords(14, 20, 3000, 80, &mut rng);
-            let params = ExactParams { seed: 40 + trial, ..ExactParams::default() };
-            assert_exact(&g, &params, &format!("heavy {trial}"));
+            let g = generators::heavy_cycle_with_chords(14, 20, 30000, 800, &mut rng);
+            for (preset, params) in [
+                ("default", ExactParams { seed: 40 + trial, ..ExactParams::default() }),
+                ("paper", ExactParams::paper(40 + trial)),
+            ] {
+                let r = assert_exact(&g, &params, &format!("heavy {trial} {preset}"));
+                let p = r.stats.skeleton_p;
+                assert!(p < 1.0, "heavy {trial} {preset}: p = {p}");
+            }
         }
     }
 
@@ -419,12 +398,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(604);
         for trial in 0..8 {
             let g = generators::gnm_connected(15, 45, 6, &mut rng);
-            let got = mincut_small(
-                &g,
-                &TwoRespectParams::default(),
-                &PackingParams::default(),
-                &Meter::disabled(),
-            );
+            let m = Meter::disabled();
+            let ctx = GraphContext::attach(&g, &m);
+            let got =
+                mincut_small_in(&ctx, &TwoRespectParams::default(), &PackingParams::default(), &m);
             let expect = stoer_wagner_mincut(&g).value;
             assert_eq!(got.value, expect, "trial {trial}");
         }

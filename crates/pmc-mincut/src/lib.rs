@@ -9,7 +9,7 @@
 //!   `cut(e,f) = cov(e) + cov(f) - 2 cov(e,f)` (see DESIGN.md).
 //! * [`interest`]: the cross-/down-interest search of Definition 4.7 /
 //!   Claims 4.8, 4.13 — per tree edge, the endpoints `ce`/`de` of the
-//!   path of edges it is interested in, traced by a pluggable
+//!   path of edges it is interested in, traced by an
 //!   [`interest::DecompositionStrategy`] (centroid descent by default,
 //!   heavy-path descent as the fallback).
 //! * [`two_respect`]: the minimum 2-respecting cut of a spanning tree
@@ -20,11 +20,19 @@
 //! * [`approx`]: the `O(1)`-approximation through the sampling
 //!   hierarchies of §3 (Theorem 3.1).
 //! * [`exact`]: the full pipeline (Theorems 4.1 and 4.26) and the
-//!   simpler baselines used by the experiments.
+//!   small-min-cut solver the §3 hierarchy layers use.
 //! * [`engine`]: the two-level solver engine — graph-lifetime
 //!   [`GraphContext`] vs tree-lifetime [`TreeContext`], parallel
-//!   sub-builds, and the batched query facade. The one-shot functions
-//!   above are thin wrappers over it.
+//!   sub-builds, and the batched query facade.
+//!
+//! The exact algorithm has three entry points over one pipeline:
+//! [`exact_mincut_in`] runs it on a prebuilt [`GraphContext`] under a
+//! [`Deadline`] (pass [`Deadline::never`] for none) and a meter;
+//! [`exact_mincut`] is the one-shot, unmetered form; and
+//! [`exact_mincut_robust`] runs it under a panic guard with a typed
+//! outcome. A packed tree's Theorem 4.2 cut is [`TreeContext::solve`];
+//! [`two_respecting_mincut`] and [`approx_mincut`] build a context and
+//! solve once.
 //!
 //! Quick start:
 //!
@@ -51,10 +59,7 @@ pub mod two_respect;
 pub use approx::{approx_mincut, approx_mincut_eps, approx_mincut_in, ApproxParams, ApproxResult};
 pub use cutquery::{BatchOutcome, CutQuery};
 pub use engine::{GraphContext, TreeContext};
-pub use exact::{
-    exact_mincut, exact_mincut_deadline, exact_mincut_deadline_in, exact_mincut_in,
-    exact_mincut_metered, mincut_small, mincut_small_in, ExactParams, ExactResult,
-};
+pub use exact::{exact_mincut, exact_mincut_in, mincut_small_in, ExactParams, ExactResult};
 // The robustness vocabulary (shared with every crate through
 // `pmc-fault`) re-exported where solver callers already look.
 pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
@@ -64,6 +69,4 @@ pub use interest::{
     InterestSearch, InterestStrategy,
 };
 pub use packing::{greedy_tree_packing, PackingParams};
-pub use two_respect::{
-    naive_two_respecting, two_respecting_mincut, two_respecting_mincut_in, TwoRespectParams,
-};
+pub use two_respect::{naive_two_respecting, two_respecting_mincut, TwoRespectParams};

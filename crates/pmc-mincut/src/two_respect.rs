@@ -25,9 +25,9 @@ use crate::cutquery::CutQuery;
 use crate::engine::TreeContext;
 use crate::interest::{InterestEngine, InterestSearch, InterestStrategy};
 use pmc_graph::{CutResult, Graph};
-use pmc_monge::{monge_minimum_with, triangle_minimum_with, Orient, RowMinimaAlgo};
+use pmc_monge::{monge_minimum_with, triangle_minimum_with, Orient, RowMinimaStrategy};
 use pmc_parallel::meter::Meter;
-use pmc_parallel::scratch::ScratchPool;
+use pmc_parallel::scratch::with_scratch;
 use pmc_parallel::sort::SortScratch;
 use pmc_tree::{LcaEngine, LcaStrategy, LcaTable, PathDecomposition, PathStrategy, RootedTree};
 use rayon::prelude::*;
@@ -44,7 +44,7 @@ pub struct TwoRespectParams {
     pub strategy: PathStrategy,
     /// Row-minima engine: SMAWK (work-optimal, the [RV94] substitute)
     /// or divide-and-conquer (log-factor work, polylog span, [AKPS90]).
-    pub monge_algo: RowMinimaAlgo,
+    pub monge_algo: RowMinimaStrategy,
     /// Which decomposition traces the interest arms (Claim 4.13):
     /// centroid descent (`O(log n)` cut queries per edge, the default)
     /// or the heavy-path fallback (`O(log² n)`, DESIGN.md §2).
@@ -64,7 +64,7 @@ impl Default for TwoRespectParams {
         TwoRespectParams {
             eps: 0.25,
             strategy: PathStrategy::HeavyPath,
-            monge_algo: RowMinimaAlgo::Smawk,
+            monge_algo: RowMinimaStrategy::Smawk,
             interest_strategy: InterestStrategy::default(),
             lca_strategy: LcaStrategy::default(),
         }
@@ -80,7 +80,7 @@ impl TwoRespectParams {
     /// explicitly so experiment configs stay stable if defaults move.
     pub fn paper() -> Self {
         TwoRespectParams {
-            monge_algo: RowMinimaAlgo::Smawk,
+            monge_algo: RowMinimaStrategy::Smawk,
             interest_strategy: InterestStrategy::Centroid,
             lca_strategy: LcaStrategy::SparseTable,
             ..TwoRespectParams::default()
@@ -135,89 +135,82 @@ impl Best {
 /// One-shot wrapper: builds a [`TreeContext`] (parallel sub-builds) and
 /// solves once. Callers that solve repeatedly — or query the same tree
 /// — should build the context themselves and use
-/// [`two_respecting_mincut_in`] / [`TreeContext::solve`].
+/// [`TreeContext::solve`].
 pub fn two_respecting_mincut(
     g: &Graph,
     tree: &RootedTree,
     params: &TwoRespectParams,
     meter: &Meter,
 ) -> TwoRespectOutcome {
-    let ctx = TreeContext::build(g, Arc::new(tree.clone()), params, meter);
-    two_respecting_mincut_in(&ctx, meter)
+    TreeContext::build(g, Arc::new(tree.clone()), params, meter).solve(meter)
 }
 
-/// [`two_respecting_mincut`] over a prebuilt [`TreeContext`]: pure
-/// query work, no per-call construction.
-pub fn two_respecting_mincut_in(ctx: &TreeContext<'_>, meter: &Meter) -> TwoRespectOutcome {
-    let tree = ctx.tree();
-    let q = ctx.cut_query();
-    let params = ctx.params();
-    if meter.is_enabled() {
-        meter.record_depth("two_respect:tree_height", tree.height() as u64);
-    }
+impl TreeContext<'_> {
+    /// The minimum 2-respecting cut of this tree (Theorem 4.2), reusing
+    /// every prebuilt structure: pure query work, no per-call
+    /// construction. Repeated calls return identical results.
+    pub fn solve(&self, meter: &Meter) -> TwoRespectOutcome {
+        let tree = self.tree();
+        let q = self.cut_query();
+        let params = self.params();
+        if meter.is_enabled() {
+            meter.record_depth("two_respect:tree_height", tree.height() as u64);
+        }
 
-    // Stage 1: 1-respecting cuts — the batched coverage slice.
-    let root = tree.root();
-    let one = q
-        .cov_all()
-        .par_iter()
-        .enumerate()
-        .filter(|&(v, _)| v as u32 != root)
-        .map(|(v, &c)| Best { value: c, e: v as u32, f: v as u32 })
-        .reduce(|| Best::NONE, Best::min);
+        // Stage 1: 1-respecting cuts — the batched coverage slice.
+        let root = tree.root();
+        let one = q
+            .cov_all()
+            .par_iter()
+            .enumerate()
+            .filter(|&(v, _)| v as u32 != root)
+            .map(|(v, &c)| Best { value: c, e: v as u32, f: v as u32 })
+            .reduce(|| Best::NONE, Best::min);
 
-    // Stage 2: single-path partial Monge searches.
-    let decomp = ctx.decomposition();
-    let single = decomp
-        .paths()
-        .par_iter()
-        .map(|p| {
-            if p.len() < 2 {
-                return Best::NONE;
-            }
-            match triangle_minimum_with(
-                params.monge_algo,
-                p.len(),
-                Orient::Supermodular,
-                |i, j| q.cut(p[i], p[j], meter),
-                meter,
-            ) {
-                Some(loc) => Best { value: loc.value, e: p[loc.row], f: p[loc.col] },
-                None => Best::NONE,
-            }
-        })
-        .reduce(|| Best::NONE, Best::min);
+        // Stage 2: single-path partial Monge searches.
+        let decomp = self.decomposition();
+        let single = decomp
+            .paths()
+            .par_iter()
+            .map(|p| {
+                if p.len() < 2 {
+                    return Best::NONE;
+                }
+                match triangle_minimum_with(
+                    params.monge_algo,
+                    p.len(),
+                    Orient::Supermodular,
+                    |i, j| q.cut(p[i], p[j], meter),
+                    meter,
+                ) {
+                    Some(loc) => Best { value: loc.value, e: p[loc.row], f: p[loc.col] },
+                    None => Best::NONE,
+                }
+            })
+            .reduce(|| Best::NONE, Best::min);
 
-    // Stage 3: cross-path pairs via interest arms.
-    let cross = cross_path_minimum(
-        q,
-        ctx.lca(),
-        decomp,
-        params.monge_algo,
-        ctx.interest(),
-        ctx.scratch_pool(),
-        meter,
-    );
+        // Stage 3: cross-path pairs via interest arms.
+        let cross =
+            cross_path_minimum(q, self.lca(), decomp, params.monge_algo, self.interest(), meter);
 
-    let best = one.min(single).min(cross);
-    debug_assert_ne!(best.value, u64::MAX);
-    let side = q.cut_side(best.e, best.f);
-    TwoRespectOutcome {
-        cut: CutResult { value: best.value, side },
-        pair: (best.e, best.f),
+        let best = one.min(single).min(cross);
+        debug_assert_ne!(best.value, u64::MAX);
+        let side = q.cut_side(best.e, best.f);
+        TwoRespectOutcome {
+            cut: CutResult { value: best.value, side },
+            pair: (best.e, best.f),
+        }
     }
 }
 
 /// Stage 3 worker: interest arms -> tuples -> symmetric join -> Monge
 /// blocks.
-#[allow(clippy::too_many_arguments)]
 fn cross_path_minimum(
     q: &CutQuery<'_>,
     lca: &LcaEngine,
     decomp: &PathDecomposition,
-    algo: RowMinimaAlgo,
+    algo: RowMinimaStrategy,
     engine: &InterestEngine,
-    pool: &ScratchPool,
     meter: &Meter,
 ) -> Best {
     let tree = q.tree();
@@ -261,10 +254,10 @@ fn cross_path_minimum(
             (((a as u64) << 32) | b as u64, side, e)
         })
         .collect();
-    // The radix passes run out of the context's recycled workspace:
-    // repeated solves against one context stop paying the sort's
-    // buffer/histogram allocations.
-    pool.with(|s| sort_join_keys(&mut keyed, decomp, n, &mut s.sort3));
+    // The radix passes run out of the worker's recycled workspace:
+    // repeated solves stop paying the sort's buffer/histogram
+    // allocations.
+    with_scratch(|s| sort_join_keys(&mut keyed, decomp, n, &mut s.sort3));
 
     // Contiguous runs of one pair id = one join group.
     let mut jobs: Vec<(usize, usize)> = Vec::new();
@@ -349,7 +342,7 @@ fn pair_minimum(
     q: &CutQuery<'_>,
     r: &[(u64, u32, u32)],
     s: &[(u64, u32, u32)],
-    algo: RowMinimaAlgo,
+    algo: RowMinimaStrategy,
     meter: &Meter,
 ) -> Best {
     let tree = q.tree();

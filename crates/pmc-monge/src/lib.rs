@@ -296,10 +296,6 @@ impl RowMinimaStrategy {
     }
 }
 
-/// Former name of [`RowMinimaStrategy`], kept as an alias so existing
-/// call sites and params structs keep compiling.
-pub type RowMinimaAlgo = RowMinimaStrategy;
-
 /// Global minimum of a full Monge matrix with the given orientation.
 ///
 /// `O(rows + cols)` evaluations via SMAWK.
@@ -313,12 +309,12 @@ pub fn monge_minimum<F>(
 where
     F: Fn(usize, usize) -> u64 + Sync,
 {
-    monge_minimum_with(RowMinimaAlgo::Smawk, rows, cols, orient, f, meter)
+    monge_minimum_with(RowMinimaStrategy::Smawk, rows, cols, orient, f, meter)
 }
 
 /// [`monge_minimum`] with an explicit row-minima engine.
 pub fn monge_minimum_with<F>(
-    algo: RowMinimaAlgo,
+    algo: RowMinimaStrategy,
     rows: usize,
     cols: usize,
     orient: Orient,
@@ -332,8 +328,8 @@ where
         return None;
     }
     let run = |g: &(dyn Fn(usize, usize) -> u64 + Sync)| match algo {
-        RowMinimaAlgo::Smawk => smawk_row_minima(rows, cols, g, meter),
-        RowMinimaAlgo::DivideConquer => dc_row_minima(rows, cols, g, meter),
+        RowMinimaStrategy::Smawk => smawk_row_minima(rows, cols, g, meter),
+        RowMinimaStrategy::DivideConquer => dc_row_minima(rows, cols, g, meter),
     };
     let minima = match orient {
         Orient::Submodular => run(&f),
@@ -361,12 +357,12 @@ pub fn triangle_minimum<F>(k: usize, orient: Orient, f: F, meter: &Meter) -> Opt
 where
     F: Fn(usize, usize) -> u64 + Sync,
 {
-    triangle_minimum_with(RowMinimaAlgo::Smawk, k, orient, f, meter)
+    triangle_minimum_with(RowMinimaStrategy::Smawk, k, orient, f, meter)
 }
 
 /// [`triangle_minimum`] with an explicit row-minima engine.
 pub fn triangle_minimum_with<F>(
-    algo: RowMinimaAlgo,
+    algo: RowMinimaStrategy,
     k: usize,
     orient: Orient,
     f: F,
@@ -382,7 +378,7 @@ where
 }
 
 fn triangle_rec<F>(
-    algo: RowMinimaAlgo,
+    algo: RowMinimaStrategy,
     lo: usize,
     hi: usize,
     orient: Orient,

@@ -16,8 +16,8 @@
 //! * [`sort`]: a parallel LSD radix sort (the paper's sorting primitive,
 //!   [Ble96]);
 //! * [`scratch`]: reusable scratch workspaces ([`Scratch`],
-//!   [`ScratchPool`], [`with_scratch`]) behind the allocation-free
-//!   steady-state query path;
+//!   [`with_scratch`]) behind the allocation-free steady-state query
+//!   path;
 //! * [`union_find`]: sequential and lock-free concurrent union-find;
 //! * [`spanning_forest`]: parallel spanning forests (the Halperin–Zwick
 //!   substitute used by Theorem 2.6's certificates);
@@ -38,6 +38,6 @@ pub mod spanning_forest;
 pub mod union_find;
 
 pub use meter::{CostKind, CostReport, Meter};
-pub use scratch::{with_scratch, Scratch, ScratchPool};
+pub use scratch::{with_scratch, Scratch};
 pub use sort::SortScratch;
 pub use union_find::{ConcurrentUnionFind, UnionFind};

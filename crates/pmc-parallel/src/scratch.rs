@@ -18,14 +18,12 @@
 //!   what it uses before writing. Reuse is an optimization, never a
 //!   behavioral input, so results are bit-identical whichever `Scratch`
 //!   (fresh or warm) serves a call.
-//! * Callers that own no workspace go through [`with_scratch`] (a
-//!   per-worker thread-local pool) or a shared [`ScratchPool`]
-//!   (per-`TreeContext`); both recycle workspaces pop/push-style so the
-//!   steady state touches no allocator.
+//! * Callers that own no workspace go through [`with_scratch`], a
+//!   per-worker thread-local pool that recycles workspaces
+//!   pop/push-style so the steady state touches no allocator.
 
 use crate::sort::SortScratch;
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 /// The transient buffers of the batched query kernels, named after
 /// their primary role. All fields are public: the kernels split borrows
@@ -87,39 +85,6 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     r
 }
 
-/// A shared workspace pool for long-lived owners (one per
-/// `TreeContext`): concurrent batch calls against one context each pop
-/// a workspace, warm workspaces are recycled across calls and callers.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    pool: Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// Run `f` with a pooled workspace (popped under the lock, run
-    /// outside it, pushed back after). Lock poisoning is harmless here —
-    /// the pool holds only recyclable buffers — so a poisoned lock is
-    /// unwrapped into its inner state rather than propagated.
-    pub fn with<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
-        let mut s = self
-            .pool
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .pop()
-            .unwrap_or_default();
-        let r = f(&mut s);
-        self.pool
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(s);
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,37 +116,5 @@ mod tests {
             (outer.idx[0], inner_val)
         });
         assert_eq!((a, b), (7, 9));
-    }
-
-    #[test]
-    fn pool_recycles_across_calls() {
-        let pool = ScratchPool::new();
-        let cap0 = pool.with(|s| {
-            s.vals.clear();
-            s.vals.resize(512, 0);
-            s.vals.capacity()
-        });
-        let cap1 = pool.with(|s| s.vals.capacity());
-        assert!(cap1 >= cap0);
-    }
-
-    #[test]
-    fn pool_is_shareable_across_threads() {
-        let pool = std::sync::Arc::new(ScratchPool::new());
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let p = std::sync::Arc::clone(&pool);
-            handles.push(std::thread::spawn(move || {
-                p.with(|s| {
-                    s.vals.clear();
-                    s.vals.extend(0..t + 10);
-                    s.vals.iter().sum::<u64>()
-                })
-            }));
-        }
-        for (t, h) in handles.into_iter().enumerate() {
-            let expect: u64 = (0..t as u64 + 10).sum();
-            assert_eq!(h.join().expect("scratch pool thread"), expect);
-        }
     }
 }

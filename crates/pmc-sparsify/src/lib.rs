@@ -25,4 +25,4 @@ pub use binomial::{binomial, binomial_capped};
 pub use certificate::k_certificate;
 pub use scan_certificate::scan_certificate;
 pub use hierarchy::{CertificateHierarchy, ExclusiveHierarchy, HierarchyParams};
-pub use skeleton::{skeleton, skeleton_probability};
+pub use skeleton::{skeleton, skeleton_cap, skeleton_probability};

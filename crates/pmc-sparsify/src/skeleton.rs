@@ -25,6 +25,15 @@ pub fn skeleton_probability(n: usize, eps: f64, lambda_hint: u64, c: f64) -> f64
     p.min(1.0)
 }
 
+/// Observation 4.22's skeleton weight cap `8 · ⌈c · ln n / ε²⌉`: no
+/// skeleton edge heavier than this can cross the skeleton's minimum
+/// cut, so sampling stops there. `c` and `ε` are the oversampling
+/// constant and accuracy passed to [`skeleton_probability`].
+pub fn skeleton_cap(n: usize, eps: f64, c: f64) -> u64 {
+    let scale = (c * (n.max(2) as f64).ln() / (eps * eps)).ceil();
+    (8.0 * scale) as u64
+}
+
 /// Build a skeleton: edge `e` receives weight `min(B(w(e), p), cap)`.
 ///
 /// Pass `cap = u64::MAX` for the uncapped Theorem 2.4 skeleton; the
@@ -73,6 +82,14 @@ mod tests {
         let p = skeleton_probability(1000, 1.0, 1000, 3.0);
         assert!((p - 3.0 * (1000f64).ln() / 1000.0).abs() < 1e-12);
         assert_eq!(skeleton_probability(1000, 1.0, 1, 100.0), 1.0);
+    }
+
+    #[test]
+    fn cap_formula() {
+        // 8 · ⌈4 · ln 1000 / 0.25⌉ = 8 · ⌈110.52⌉ = 888.
+        assert_eq!(skeleton_cap(1000, 0.5, 4.0), 888);
+        // n is clamped to 2 like the probability.
+        assert_eq!(skeleton_cap(0, 0.5, 4.0), skeleton_cap(2, 0.5, 4.0));
     }
 
     #[test]

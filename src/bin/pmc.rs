@@ -45,7 +45,8 @@ fn main() -> ExitCode {
             };
             let meter = Meter::enabled();
             let t0 = std::time::Instant::now();
-            let r = pmc_mincut::exact::exact_mincut_metered(&g, &ExactParams::default(), &meter);
+            let ctx = GraphContext::build(&g, &meter);
+            let r = exact_mincut_in(&ctx, &ExactParams::default(), &Deadline::never(), &meter);
             let dt = t0.elapsed();
             if r.cut.value == u64::MAX {
                 println!("graph has fewer than 2 vertices: no cut");

@@ -41,16 +41,13 @@ pub mod prelude {
         stoer_wagner_mincut, CutResult, Graph, GraphBuilder,
     };
     pub use pmc_mincut::{
-        approx_mincut, approx_mincut_eps, approx_mincut_in, exact_mincut,
-        exact_mincut_deadline, exact_mincut_in, exact_mincut_robust, mincut_small,
-        mincut_small_in, naive_two_respecting, two_respecting_mincut,
-        two_respecting_mincut_in, ApproxParams, ApproxResult, BatchOutcome, ExactParams,
-        ExactResult, GraphContext, InterestStrategy, TreeContext, TwoRespectParams,
+        approx_mincut, approx_mincut_eps, approx_mincut_in, exact_mincut, exact_mincut_in,
+        exact_mincut_robust, mincut_small_in, naive_two_respecting, two_respecting_mincut,
+        ApproxParams, ApproxResult, BatchOutcome, ExactParams, ExactResult, GraphContext,
+        InterestStrategy, TreeContext, TwoRespectParams,
     };
     pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
     pub use pmc_monge::RowMinimaStrategy;
-    pub use pmc_parallel::{
-        with_scratch, CostKind, CostReport, Meter, Scratch, ScratchPool, SortScratch,
-    };
+    pub use pmc_parallel::{with_scratch, CostKind, CostReport, Meter, Scratch, SortScratch};
     pub use pmc_tree::{LcaEngine, LcaStrategy};
 }

@@ -172,7 +172,13 @@ fn meters_populate_work_and_depth() {
     let mut rng = StdRng::seed_from_u64(9008);
     let g = generators::gnm_connected(40, 160, 12, &mut rng);
     let meter = Meter::enabled();
-    let r = pmc_mincut::exact::exact_mincut_metered(&g, &ExactParams::default(), &meter);
+    let ctx = pmc_mincut::GraphContext::build(&g, &meter);
+    let r = pmc_mincut::exact_mincut_in(
+        &ctx,
+        &ExactParams::default(),
+        &pmc_mincut::Deadline::never(),
+        &meter,
+    );
     assert!(r.cut.value > 0);
     let rep = meter.report();
     assert!(rep.total_work() > 0);

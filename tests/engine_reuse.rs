@@ -47,8 +47,8 @@ fn exact_reuse_is_bit_identical_across_workloads() {
         let params = ExactParams::default();
         let one_shot = exact_mincut(&g, &params);
         let ctx = GraphContext::build(&g, &m);
-        let first = exact_mincut_in(&ctx, &params, &m);
-        let second = exact_mincut_in(&ctx, &params, &m);
+        let first = exact_mincut_in(&ctx, &params, &Deadline::never(), &m);
+        let second = exact_mincut_in(&ctx, &params, &Deadline::never(), &m);
         assert_eq!(first.cut, one_shot.cut, "{name}: ctx vs one-shot");
         assert_eq!(first.cut, second.cut, "{name}: first vs second solve on one ctx");
         assert_eq!(first.stats.num_trees, second.stats.num_trees, "{name}: stats drift");
@@ -68,8 +68,8 @@ fn exact_reuse_invariant_across_thread_counts() {
                 let ctx = GraphContext::build(&g, &m);
                 (
                     exact_mincut(&g, &params).cut,
-                    exact_mincut_in(&ctx, &params, &m).cut,
-                    exact_mincut_in(&ctx, &params, &m).cut,
+                    exact_mincut_in(&ctx, &params, &Deadline::never(), &m).cut,
+                    exact_mincut_in(&ctx, &params, &Deadline::never(), &m).cut,
                 )
             });
             assert_eq!(one_shot, reference, "{name}: one-shot at {threads} threads");
@@ -95,7 +95,7 @@ fn tree_context_reuse_matches_free_function() {
         for threads in [1usize, 4] {
             let (a, b) = with_pool(threads, || {
                 let ctx = TreeContext::build(&g, Arc::clone(&tree), &params, &m);
-                (two_respecting_mincut_in(&ctx, &m), ctx.solve(&m))
+                (ctx.solve(&m), ctx.solve(&m))
             });
             assert_eq!(a.cut, reference.cut, "{name}: ctx solve at {threads} threads");
             assert_eq!(a.pair, b.pair, "{name}: repeated solves disagree on the witness");
@@ -104,8 +104,9 @@ fn tree_context_reuse_matches_free_function() {
     }
 }
 
-/// mincut_small through an attached context: identical to the free
-/// function, including on hierarchy-style repeated calls.
+/// mincut_small_in through an attached context: identical to a solve
+/// on a fresh owning context, including on hierarchy-style repeated
+/// calls.
 #[test]
 fn mincut_small_reuse_matches() {
     let m = Meter::disabled();
@@ -114,7 +115,7 @@ fn mincut_small_reuse_matches() {
         let g = generators::gnm_connected(15, 45, 6, &mut rng);
         let tr = TwoRespectParams::default();
         let pk = pmc_mincut::PackingParams::default();
-        let free = mincut_small(&g, &tr, &pk, &m);
+        let free = mincut_small_in(&GraphContext::adopt(g.clone(), &m), &tr, &pk, &m);
         let ctx = GraphContext::attach(&g, &m);
         let a = mincut_small_in(&ctx, &tr, &pk, &m);
         let b = mincut_small_in(&ctx, &tr, &pk, &m);
@@ -161,15 +162,14 @@ fn trivial_inputs_agree() {
     let g3 = Graph::from_edges(4, [(0, 1, 2), (2, 3, 2)]);
     for g in [&g1, &g3] {
         let ctx = GraphContext::build(g, &m);
-        assert_eq!(exact_mincut_in(&ctx, &params, &m).cut, exact_mincut(g, &params).cut);
         assert_eq!(
-            mincut_small_in(
-                &ctx,
-                &TwoRespectParams::default(),
-                &pmc_mincut::PackingParams::default(),
-                &m
-            ),
-            mincut_small(g, &TwoRespectParams::default(), &pmc_mincut::PackingParams::default(), &m)
+            exact_mincut_in(&ctx, &params, &Deadline::never(), &m).cut,
+            exact_mincut(g, &params).cut
+        );
+        let (tr, pk) = (TwoRespectParams::default(), pmc_mincut::PackingParams::default());
+        assert_eq!(
+            mincut_small_in(&ctx, &tr, &pk, &m),
+            mincut_small_in(&GraphContext::attach(g, &m), &tr, &pk, &m)
         );
     }
 }

@@ -85,9 +85,11 @@ fn prelude_metering_and_params_are_wired() {
     let g = generators::gnm_connected(20, 40, 5, &mut rng);
 
     let meter = Meter::enabled();
-    let exact = pmc_mincut::exact_mincut_metered(
-        &g,
+    let ctx = pmc_mincut::GraphContext::build(&g, &meter);
+    let exact = pmc_mincut::exact_mincut_in(
+        &ctx,
         &ExactParams { two_respect: TwoRespectParams::default(), ..ExactParams::default() },
+        &pmc_mincut::Deadline::never(),
         &meter,
     );
     assert_eq!(exact.cut.value, stoer_wagner_mincut(&g).value);
