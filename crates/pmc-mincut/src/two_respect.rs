@@ -42,8 +42,8 @@ pub struct TwoRespectParams {
     pub eps: f64,
     /// Which Property-4.3 decomposition to use.
     pub strategy: PathStrategy,
-    /// Row-minima engine: SMAWK (work-optimal, the [RV94] substitute)
-    /// or divide-and-conquer (log-factor work, polylog span, [AKPS90]).
+    /// Row-minima engine: SMAWK (work-optimal, the \[RV94\] substitute)
+    /// or divide-and-conquer (log-factor work, polylog span, \[AKPS90\]).
     pub monge_algo: RowMinimaStrategy,
     /// Which decomposition traces the interest arms (Claim 4.13):
     /// centroid descent (`O(log n)` cut queries per edge, the default)
@@ -73,7 +73,7 @@ impl Default for TwoRespectParams {
 
 impl TwoRespectParams {
     /// The paper-faithful configuration of Theorem 4.2: SMAWK row
-    /// minima (the [RV94] substitute of §4.1.2/§4.1.3), centroid-descent
+    /// minima (the \[RV94\] substitute of §4.1.2/§4.1.3), centroid-descent
     /// interest arms (Claim 4.13), and the O(1)-query Euler-tour LCA —
     /// the variants the complexity statements assume. `Default`
     /// currently coincides on the substrate knobs; `paper()` pins them

@@ -7,11 +7,11 @@
 //! * [`smawk_row_minima`]: the classic SMAWK algorithm, `O(rows+cols)`
 //!   entry evaluations for totally monotone (submodular-Monge) matrices.
 //!   This is the deterministic substitute for Raman–Vishkin's randomized
-//!   `O(ℓ)` Monge minimum ([RV94]; see DESIGN.md).
+//!   `O(ℓ)` Monge minimum (\[RV94\]; see DESIGN.md).
 //! * [`dc_row_minima`]: divide-and-conquer row minima,
 //!   `O((rows+cols) log rows)` evaluations but parallel across the two
 //!   halves — the depth-friendly option the paper attributes to
-//!   [AKPS90]-style searching.
+//!   \[AKPS90\]-style searching.
 //! * [`monge_minimum`]: global minimum of a full Monge matrix.
 //! * [`triangle_minimum`]: minimum over `{(i, j) : i < j}` of a partial
 //!   Monge matrix (single-path case, §4.1.2): recursive block
@@ -276,7 +276,7 @@ fn dc_rec_slice<F>(
 /// Which row-minima engine to use: SMAWK is work-optimal (`O(r + c)`
 /// evaluations, sequential span); divide-and-conquer pays a `log r`
 /// work factor for a polylogarithmic span — the same trade the paper
-/// navigates between [RV94] and [AKPS90].
+/// navigates between \[RV94\] and \[AKPS90\].
 ///
 /// Both engines return the **leftmost** argmin per row, bit-for-bit:
 /// strategy choice never changes a witness.

@@ -65,17 +65,6 @@ pub fn spanning_forest_of_pairs(
     out
 }
 
-/// Connected-component labels via the same mechanism; labels are the
-/// union-find roots.
-pub fn component_labels(g: &Graph, meter: &Meter) -> Vec<u32> {
-    meter.add(CostKind::ForestEdge, g.m() as u64);
-    let cuf = ConcurrentUnionFind::new(g.n());
-    g.edges().par_iter().for_each(|e| {
-        cuf.union(e.u, e.v);
-    });
-    (0..g.n() as u32).into_par_iter().map(|v| cuf.find(v)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,18 +107,6 @@ mod tests {
         let f = spanning_forest(&g, &Meter::disabled());
         assert_eq!(f.len(), g.n() - 1);
         assert!(is_forest_spanning(&g, &f));
-    }
-
-    #[test]
-    fn labels_match_components() {
-        let g = Graph::from_edges(7, [(0, 1, 1), (2, 3, 1), (3, 4, 1), (5, 6, 1)]);
-        let labels = component_labels(&g, &Meter::disabled());
-        assert_eq!(labels[0], labels[1]);
-        assert_eq!(labels[2], labels[3]);
-        assert_eq!(labels[3], labels[4]);
-        assert_eq!(labels[5], labels[6]);
-        assert_ne!(labels[0], labels[2]);
-        assert_ne!(labels[2], labels[5]);
     }
 
     #[test]

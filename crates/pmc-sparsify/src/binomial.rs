@@ -1,7 +1,7 @@
 //! Binomial random variates.
 //!
 //! The skeleton constructions draw `B(w(e), p)` per edge. The paper
-//! cites [KS88]/[Fis79]: inverse-transform sampling walks the CDF from
+//! cites \[KS88\]/\[Fis79\]: inverse-transform sampling walks the CDF from
 //! zero, costing `O(np + 1)` expected steps, and Observation 4.22 caps
 //! the walk at the maximum useful value, giving `O(log n)` work per
 //! edge regardless of weight.
@@ -9,12 +9,14 @@
 //! Implementation regimes (all deterministic given the `Rng`):
 //!
 //! * `n <= 64`: exact Bernoulli counting (bit tricks for `p = 1/2`);
-//! * `mean <= WALK_LIMIT`: inverse-transform CDF walk, exact up to f64
-//!   rounding, truncated at `cap`;
+//! * `mean <= WALK_LIMIT` and `(1-p)^n` a normal f64: inverse-transform
+//!   CDF walk, exact up to f64 rounding, truncated at `min(cap, n)`;
 //! * otherwise: normal approximation `N(np, np(1-p))`, rounded and
-//!   clamped — above this mean the exact pmf underflows f64 anyway and
-//!   only concentration matters to the algorithms (DESIGN.md records
-//!   this substitution).
+//!   clamped — here the exact pmf underflows f64 anyway and only
+//!   concentration matters to the algorithms (DESIGN.md records this
+//!   substitution). A large `p` can underflow `(1-p)^n` below
+//!   `WALK_LIMIT` (e.g. `B(500, 0.79)`), so the mean alone does not
+//!   pick the regime.
 
 use rand::Rng;
 
@@ -41,10 +43,15 @@ pub fn binomial_capped(n: u64, p: f64, cap: u64, rng: &mut impl Rng) -> u64 {
     }
     let mean = n as f64 * p;
     if mean <= WALK_LIMIT {
-        walk(n, p, cap, rng)
-    } else {
-        normal_approx(n, p, rng).min(cap)
+        // pmf(0) = (1-p)^n, computed in log space for small p. From a
+        // subnormal start the walk loses precision; from zero it never
+        // reaches `u`.
+        let pmf0 = (n as f64 * (-p).ln_1p()).exp();
+        if pmf0 >= f64::MIN_POSITIVE {
+            return walk(n, p, pmf0, cap.min(n), rng);
+        }
     }
+    normal_approx(n, p, rng).min(cap)
 }
 
 /// Exact Bernoulli counting for small `n`.
@@ -58,18 +65,19 @@ fn exact_small(n: u64, p: f64, rng: &mut impl Rng) -> u64 {
     (0..n).filter(|_| rng.random::<f64>() < p).count() as u64
 }
 
-/// Inverse-transform CDF walk, truncated at `cap`.
+/// Inverse-transform CDF walk from `pmf0 = (1-p)^n`, truncated at
+/// `limit <= n`.
 ///
-/// If the pmf underflows (all mass far above `cap`) the walk reaches
-/// `cap` and returns it — exactly the capped semantics.
-fn walk(n: u64, p: f64, cap: u64, rng: &mut impl Rng) -> u64 {
+/// The bound keeps `n - k` from underflowing when rounding leaves the
+/// summed pmf just below `u`; a walk that stops at `limit < n` returns
+/// the capped value.
+fn walk(n: u64, p: f64, pmf0: f64, limit: u64, rng: &mut impl Rng) -> u64 {
     let u: f64 = rng.random();
     let odds = p / (1.0 - p);
-    // pmf(0) = (1-p)^n, computed in log space for small p.
-    let mut pmf = (n as f64 * (-p).ln_1p()).exp();
+    let mut pmf = pmf0;
     let mut cdf = pmf;
     let mut k = 0u64;
-    while cdf < u && k < cap {
+    while cdf < u && k < limit {
         pmf *= ((n - k) as f64 / (k + 1) as f64) * odds;
         cdf += pmf;
         k += 1;
@@ -167,6 +175,24 @@ mod tests {
         let (mean, var) = stats(&samples);
         assert!((mean - 5000.0).abs() < 5.0, "mean {mean}");
         assert!((var / 5000.0 - 1.0).abs() < 0.1, "var {var}");
+    }
+
+    #[test]
+    fn underflowing_pmf_takes_normal_branch() {
+        // mean 395 is below WALK_LIMIT, but (0.21)^500 ≈ e^-780
+        // underflows f64: a CDF walk from pmf(0) = 0 never reaches `u`.
+        let mut rng = StdRng::seed_from_u64(9);
+        let samples: Vec<u64> =
+            (0..5000).map(|_| binomial_capped(500, 0.79, 10_000, &mut rng)).collect();
+        assert!(samples.iter().all(|&x| x <= 500), "more successes than trials");
+        let (mean, var) = stats(&samples);
+        assert!((mean - 395.0).abs() < 1.0, "mean {mean}");
+        assert!((var / 82.95 - 1.0).abs() < 0.1, "var {var}");
+        // A cap above the mean must not bind on every draw.
+        let capped: Vec<u64> =
+            (0..5000).map(|_| binomial_capped(500, 0.79, 450, &mut rng)).collect();
+        let (mean, _) = stats(&capped);
+        assert!((mean - 395.0).abs() < 1.0, "capped mean {mean}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Block-decomposed O(1) range-minimum queries and the Euler-tour LCA
 //! built on them.
 //!
-//! [`crate::euler::EulerTour`] carries a *full* sparse table over the
-//! tour — `O(n log n)` words. This module is the production substrate:
+//! A *full* sparse table over the Euler tour costs `O(n log n)` words.
+//! This module is the production substrate instead:
 //! the tour is cut into blocks of [`BLOCK`] entries, each position keeps
 //! a 64-bit monotone-stack mask that answers in-block queries with one
 //! shift and a `trailing_zeros`, and a sparse table is built only over

@@ -7,9 +7,9 @@
 //! * [`graph`] — weighted graphs, generators, Stoer–Wagner and
 //!   Karger–Stein baselines;
 //! * [`parallel`] — work-span metering and parallel primitives;
-//! * [`tree`] — rooted-tree machinery (Euler tours, LCA, path and
-//!   centroid decompositions);
-//! * [`range`] — the `n^ε`-ary range-sum structures of Lemmas 4.24/4.25;
+//! * [`tree`] — rooted-tree machinery (Euler-tour and lifting LCA, path
+//!   and centroid decompositions);
+//! * [`range`] — the `n^ε`-ary 2-D range tree of Lemma 4.25;
 //! * [`monge`] — SMAWK and divide-and-conquer Monge minimum searches;
 //! * [`sparsify`] — skeletons, sampling hierarchies, certificates;
 //! * [`mincut`] — the paper's algorithms: 2-respecting solver, tree

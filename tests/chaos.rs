@@ -215,6 +215,42 @@ fn exhaust_plans_degrade_flagged_never_silent() {
     assert!(exact > 0, "every plan degraded — sweep lost its control arm");
 }
 
+/// Exhaust plans in the sampling regime: the heavy cycle's λ ≈ 60000
+/// puts the skeleton at p < 1, so cancellation lands between real
+/// sampling, certificate and packing phases. Each solve is far heavier
+/// than on `chaos_graph`, so the sweep runs a sixth of the plan count
+/// (84 plans at the default 500).
+#[test]
+fn exhaust_plans_at_sampled_skeleton_stay_valid() {
+    silence_injected_panics();
+    let mut rng = StdRng::seed_from_u64(45);
+    let g = generators::heavy_cycle_with_chords(14, 20, 30000, 800, &mut rng);
+    let expect = stoer_wagner_mincut(&g).value;
+    let params = ExactParams::default();
+    let pool = chaos_pool();
+    let (mut exact, mut degraded) = (0u64, 0u64);
+    for seed in 0..plan_count().div_ceil(6) {
+        let plan = FaultPlan::generate(seed, BUDGET_POINTS).without_panics();
+        let fixture = plan.encode();
+        let deadline = Deadline::never();
+        let scope = FaultScope::activate_with_deadline(&plan, &deadline);
+        let r = pool
+            .install(|| exact_mincut_robust(&g, &params, &deadline, &Meter::disabled()))
+            .unwrap_or_else(|e| panic!("plan {fixture} surfaced a genuine bug: {e}"));
+        drop(scope);
+        assert_valid_outcome(&g, &r, expect, &fixture);
+        if r.quality.is_exact() {
+            exact += 1;
+            let p = r.stats.skeleton_p;
+            assert!(p < 1.0, "plan {fixture}: exact run never sampled (p = {p})");
+        } else {
+            degraded += 1;
+        }
+    }
+    assert!(degraded > 0, "no exhaust op ever fired — cancellation path untested");
+    assert!(exact > 0, "every plan degraded — sweep lost its control arm");
+}
+
 #[test]
 fn worker_panics_are_quarantined_and_solves_stay_exact() {
     silence_injected_panics();
