@@ -162,7 +162,7 @@ pub fn run_eps_sweep(n: usize, eps_values: &[f64], seed: u64) -> Table {
             let params = TwoRespectParams { eps, ..TwoRespectParams::default() };
             let build_meter = Meter::enabled();
             // Separate build cost: a bare CutQuery build.
-            let lca = pmc_tree::LcaTable::build(&tree);
+            let lca = pmc_tree::LcaEngine::build(&tree, LcaStrategy::Lifting, &build_meter);
             let _q = pmc_mincut::CutQuery::build(&g, &tree, &lca, eps, &build_meter);
             let build_ops = build_meter.report().work_of(CostKind::RangeNode);
 

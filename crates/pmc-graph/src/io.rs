@@ -17,8 +17,9 @@ use std::fmt::Write as _;
 
 /// Serialization error for [`parse_graph`]. Every malformed input —
 /// truncated files, garbage records, negative weights, out-of-range
-/// endpoints, self-loops — maps to a typed variant with the failing
-/// line attached; the parser never panics on untrusted bytes.
+/// endpoints, self-loops, vertex counts or total weights too large to
+/// represent — maps to a typed variant with the failing line attached;
+/// the parser never panics on untrusted bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParseError {
     MissingHeader,
@@ -35,6 +36,12 @@ pub enum ParseError {
     /// workspace (min-cut needs non-negative weights); a leading `-`
     /// gets this dedicated variant instead of a generic parse failure.
     NegativeWeight { line_no: usize },
+    /// A header vertex count of `u32::MAX` or more: vertex ids are
+    /// `u32`, so the builder asserts on it.
+    TooManyVertices { line_no: usize, n: usize },
+    /// The edge weights summed up to this line overflow `u64`; the
+    /// graph's total weight would not be representable.
+    WeightOverflow { line_no: usize },
 }
 
 impl std::fmt::Display for ParseError {
@@ -55,6 +62,12 @@ impl std::fmt::Display for ParseError {
             }
             ParseError::NegativeWeight { line_no } => {
                 write!(f, "line {line_no}: negative edge weight")
+            }
+            ParseError::TooManyVertices { line_no, n } => {
+                write!(f, "line {line_no}: {n} vertices exceed the u32 vertex id range")
+            }
+            ParseError::WeightOverflow { line_no } => {
+                write!(f, "line {line_no}: total edge weight overflows u64")
             }
         }
     }
@@ -84,6 +97,7 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
     let mut declared_n = 0usize;
     let mut declared_m = 0usize;
     let mut found_m = 0usize;
+    let mut total_w = 0u64;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -107,6 +121,10 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ParseError::BadLine { line_no, reason: "bad m".into() })?;
+                // `GraphBuilder::new` asserts on this; reject it first.
+                if n >= u32::MAX as usize {
+                    return Err(ParseError::TooManyVertices { line_no, n });
+                }
                 declared_n = n;
                 builder = Some(GraphBuilder::new(n));
             }
@@ -145,6 +163,11 @@ pub fn parse_graph(text: &str) -> Result<Graph, ParseError> {
                 if u == v {
                     return Err(ParseError::SelfLoop { line_no, v: u });
                 }
+                // `GraphBuilder::build` asserts that the total weight
+                // fits; track it here so the failing line is known.
+                total_w = total_w
+                    .checked_add(w)
+                    .ok_or(ParseError::WeightOverflow { line_no })?;
                 b.add_edge(u, v, w);
                 found_m += 1;
             }
@@ -231,6 +254,19 @@ mod tests {
     }
 
     #[test]
+    fn oversized_inputs_rejected_not_panicking() {
+        let err = parse_graph("p 4294967296 0\n").unwrap_err();
+        assert_eq!(err, ParseError::TooManyVertices { line_no: 1, n: 1 << 32 });
+        let err = parse_graph("p 4294967295 0\n").unwrap_err();
+        assert!(matches!(err, ParseError::TooManyVertices { line_no: 1, .. }));
+        let err = parse_graph("p 2 2\ne 0 1 18446744073709551615\ne 0 1 1\n").unwrap_err();
+        assert_eq!(err, ParseError::WeightOverflow { line_no: 3 });
+        // A total of exactly u64::MAX still fits.
+        let g = parse_graph("p 2 2\ne 0 1 18446744073709551614\ne 0 1 1\n").expect("fits");
+        assert_eq!(g.total_weight(), u64::MAX);
+    }
+
+    #[test]
     fn duplicate_header_rejected() {
         let err = parse_graph("p 3 1\np 4 1\ne 0 1 2\n").unwrap_err();
         assert!(matches!(err, ParseError::BadLine { line_no: 2, .. }));
@@ -255,6 +291,8 @@ mod tests {
             "p 3 1\ne 0 1 99999999999999999999999\n", // weight overflow
             "p 3 1\ne 0 1 -0\n",                // negative zero weight
             "\u{0}\u{1}\u{2}",                  // binary garbage
+            "p 4294967296 0\n",                 // vertex count past u32
+            "p 2 2\ne 0 1 18446744073709551615\ne 0 1 1\n", // total weight overflow
         ];
         for (i, text) in fixtures.iter().enumerate() {
             let result = parse_graph(text);

@@ -24,8 +24,11 @@ use pmc_graph::Graph;
 use pmc_parallel::meter::{CostKind, Meter};
 use pmc_parallel::scratch::{with_scratch, Scratch};
 use pmc_range::{Point2, RangeTree2D};
-use pmc_tree::{LcaOracle, RootedTree};
+use pmc_tree::{LcaEngine, RootedTree};
 use std::sync::Arc;
+
+/// An inclusive rectangle `(x1, x2, y1, y2)` of the postorder grid.
+type Rect = (u32, u32, u32, u32);
 
 /// Result of a deadline-bounded batch ([`CutQuery::cut_batch_until`]):
 /// the values for the prefix of the request that completed, how long
@@ -65,15 +68,15 @@ impl<'a> CutQuery<'a> {
     /// only the LCA difference trick — so they fork under `rayon::join`
     /// (DESIGN.md §8).
     ///
-    /// Generic over the LCA substrate: the coverage pass issues one LCA
-    /// query *per graph edge* — the single largest LCA volume in the
-    /// solver — so it goes through [`LcaOracle::lca_metered`] and the
+    /// The coverage pass issues one LCA query *per graph edge* — the
+    /// single largest LCA volume in the solver — so it goes through
+    /// [`LcaEngine::lca_batch_metered`] and the
     /// [`pmc_parallel::meter::CostKind::LcaStep`] gauge records whether
     /// those `m` queries cost `O(1)` or `O(log n)` probes each.
-    pub fn build<L: LcaOracle>(
+    pub fn build(
         g: &'a Graph,
         tree: &Arc<RootedTree>,
-        lca: &L,
+        lca: &LcaEngine,
         eps: f64,
         meter: &Meter,
     ) -> Self {
@@ -93,10 +96,10 @@ impl<'a> CutQuery<'a> {
             || {
                 // cov via the LCA difference trick: +w at both endpoints,
                 // -2w at the LCA; subtree sums in postorder. The m LCA
-                // queries go through the *batched* oracle kernel: one
+                // queries go through the *batched* LCA kernel: one
                 // sorted sweep over the Euler tour instead of m
                 // independent RMQs (bit-identical answers and meter
-                // charges; see `LcaOracle::lca_batch_metered`).
+                // charges; see `LcaEngine::lca_batch_metered`).
                 // HOTPATH: warmup — build-time staging, once per tree.
                 let mut pairs = Vec::with_capacity(g.m());
                 pairs.extend(g.edges().iter().map(|e| (e.u, e.v)));
@@ -181,16 +184,6 @@ impl<'a> CutQuery<'a> {
         out.extend(es.iter().map(|&v| self.cov(v)));
     }
 
-    /// Batched coverage lookup returning a fresh buffer — the
-    /// convenience form of [`CutQuery::cov_batch_into`].
-    pub fn cov_batch(&self, es: &[u32]) -> Vec<u64> {
-        // HOTPATH: warmup — compat wrapper; the zero-alloc serving path
-        // is `cov_batch_into` with a caller-owned buffer.
-        let mut out = Vec::with_capacity(es.len());
-        self.cov_batch_into(es, &mut out);
-        out
-    }
-
     /// Batched cut queries into caller-owned buffers, deterministic
     /// output order. `e == f` entries degenerate to the 1-respecting
     /// value, mirroring [`CutQuery::cut`].
@@ -256,7 +249,10 @@ impl<'a> CutQuery<'a> {
             } else {
                 meter.bump(CostKind::CutQuery);
                 scratch.vals.push(self.cov(e) + self.cov(f));
-                self.push_cov2_rects(e, f, ri, &mut scratch.rects);
+                let (rects, k) = self.cov2_rects(e, f);
+                scratch
+                    .rects
+                    .extend(rects[..k].iter().map(|&(x1, x2, y1, y2)| (x1, x2, y1, y2, ri)));
             }
             i = j;
         }
@@ -274,47 +270,44 @@ impl<'a> CutQuery<'a> {
         }
     }
 
-    /// Batched cut queries returning a fresh buffer — the convenience
-    /// form of [`CutQuery::cut_batch_with`] over a pooled workspace.
-    pub fn cut_batch(&self, pairs: &[(u32, u32)], meter: &Meter) -> Vec<u64> {
-        // HOTPATH: warmup — compat wrapper; the zero-alloc serving path
-        // is `cut_batch_with` with caller-owned buffers.
-        let mut out = Vec::with_capacity(pairs.len());
-        with_scratch(|s| self.cut_batch_with(pairs, s, &mut out, meter));
-        out
-    }
-
-    /// The tagged complement rectangles of `cov(e, f)` for distinct
-    /// `e != f` — exactly the rectangles [`CutQuery::cov2`] probes,
-    /// emitted for the fused sweep instead of queried on the spot.
-    fn push_cov2_rects(&self, e: u32, f: u32, tag: u32, rects: &mut Vec<(u32, u32, u32, u32, u32)>) {
+    /// The 1–2 rectangles whose point sums add up to `cov(e, f)` for
+    /// distinct `e != f`, as `(rects, len)`. Disjoint subtrees: the
+    /// single between-subtrees rectangle. Nested: the edges from
+    /// `T_low` to outside `T_high`, i.e. `T_low`'s x-interval against
+    /// the one or two slabs of the complement of `T_high`'s postorder
+    /// interval. [`CutQuery::cov2`] sums them on the spot;
+    /// [`CutQuery::cut_batch_with`] tags them for the fused sweep.
+    fn cov2_rects(&self, e: u32, f: u32) -> ([Rect; 2], usize) {
         let t = &self.tree;
-        // Nested: edges from T_low to outside T_high (two complement
-        // slabs). Disjoint: the single between-subtrees rectangle.
-        let (a, b) = if t.is_ancestor(e, f) {
+        let mut rects = [(0u32, 0u32, 0u32, 0u32); 2];
+        let (low, high) = if t.is_ancestor(e, f) {
             (f, e)
         } else if t.is_ancestor(f, e) {
             (e, f)
         } else {
-            rects.push((t.start(e), t.post(e), t.start(f), t.post(f), tag));
-            return;
+            rects[0] = (t.start(e), t.post(e), t.start(f), t.post(f));
+            return (rects, 1);
         };
-        let (ax1, ax2) = (t.start(a), t.post(a));
-        let (bs, bp) = (t.start(b), t.post(b));
-        if bs > 0 {
-            rects.push((ax1, ax2, 0, bs - 1, tag));
+        let (x1, x2) = (t.start(low), t.post(low));
+        let (hs, hp) = (t.start(high), t.post(high));
+        let mut k = 0;
+        if hs > 0 {
+            rects[k] = (x1, x2, 0, hs - 1);
+            k += 1;
         }
-        if bp < self.max_coord {
-            rects.push((ax1, ax2, bp + 1, self.max_coord, tag));
+        if hp < self.max_coord {
+            rects[k] = (x1, x2, hp + 1, self.max_coord);
+            k += 1;
         }
+        (rects, k)
     }
 
-    /// [`CutQuery::cut_batch`] under a cooperative [`Deadline`]: the
-    /// pair slice is processed in chunks, the token is consulted
+    /// [`CutQuery::cut_batch_with`] under a cooperative [`Deadline`]:
+    /// the pair slice is processed in chunks, the token is consulted
     /// (non-consuming) at each chunk boundary, and on expiry the values
     /// computed so far are returned with `completed < pairs.len()` and
     /// a [`SolveQuality::Degraded`] flag. A batch that runs to the end
-    /// is bit-identical to `cut_batch` and flagged
+    /// is bit-identical to `cut_batch_with` and flagged
     /// [`SolveQuality::Exact`].
     pub fn cut_batch_until(
         &self,
@@ -351,41 +344,13 @@ impl<'a> CutQuery<'a> {
         self.points.sum_rect(x1, x2, y1, y2, meter)
     }
 
-    /// Weight of graph edges from inside subtree(`a`) to *outside*
-    /// subtree(`b`), where subtree(`a`) ⊆ subtree(`b`). The complement
-    /// of `b`'s postorder interval splits into two slabs, submitted as
-    /// one rectangle batch.
-    fn weight_to_outside(&self, a: u32, b: u32, meter: &Meter) -> u64 {
-        let (ax1, ax2) = (self.tree.start(a), self.tree.post(a));
-        let (bs, bp) = (self.tree.start(b), self.tree.post(b));
-        let mut rects = [(0u32, 0u32, 0u32, 0u32); 2];
-        let mut k = 0;
-        if bs > 0 {
-            rects[k] = (ax1, ax2, 0, bs - 1);
-            k += 1;
-        }
-        if bp < self.max_coord {
-            rects[k] = (ax1, ax2, bp + 1, self.max_coord);
-            k += 1;
-        }
-        self.points.sum_rects(&rects[..k], meter)
-    }
-
     /// `cov(e, f)`: weight of graph edges covering both tree edges.
     /// `e` and `f` are lower endpoints; must be distinct non-roots.
     pub fn cov2(&self, e: u32, f: u32, meter: &Meter) -> u64 {
         debug_assert_ne!(e, f);
         meter.bump(CostKind::CutQuery);
-        let t = &self.tree;
-        if t.is_ancestor(e, f) {
-            // f strictly below e: edges from T_f to outside T_e.
-            self.weight_to_outside(f, e, meter)
-        } else if t.is_ancestor(f, e) {
-            self.weight_to_outside(e, f, meter)
-        } else {
-            // Disjoint subtrees: edges between them.
-            self.rect(t.start(e), t.post(e), t.start(f), t.post(f), meter)
-        }
+        let (rects, k) = self.cov2_rects(e, f);
+        self.points.sum_rects(&rects[..k], meter)
     }
 
     /// The 2-respecting cut value determined by tree edges `e` and `f`
@@ -428,7 +393,7 @@ mod tests {
     use pmc_graph::graph::cut_of_partition;
     use pmc_graph::{generators, Graph};
     use pmc_parallel::spanning_forest::spanning_forest;
-    use pmc_tree::LcaTable;
+    use pmc_tree::LcaStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -470,7 +435,7 @@ mod tests {
         for trial in 0..10 {
             let g = generators::gnm_connected(30, 60, 9, &mut rng);
             let t = spanning_tree_of(&g, trial % 30);
-            let lca = LcaTable::build(&t);
+            let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
             let q = CutQuery::build(&g, &t, &lca, 0.3, &Meter::disabled());
             for v in 0..30u32 {
                 if v == t.root() {
@@ -487,7 +452,7 @@ mod tests {
         for trial in 0..6 {
             let g = generators::gnm_connected(18, 40, 7, &mut rng);
             let t = spanning_tree_of(&g, 0);
-            let lca = LcaTable::build(&t);
+            let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
             let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             for e in 1..18u32 {
@@ -510,7 +475,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(103);
         let g = generators::gnm_connected(25, 70, 5, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.4, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..25u32 {
@@ -525,7 +490,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let g = generators::gnm_connected(16, 35, 6, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..16u32 {
@@ -553,7 +518,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(105);
         let g = generators::gnm_connected(20, 50, 4, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         for v in 1..20u32 {
             // cut(e, e) degenerates to the 1-respecting cut.
@@ -569,7 +534,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(106);
         let g = generators::gnm_connected(40, 120, 8, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let m = Meter::disabled();
         let q1 = CutQuery::build(&g, &t, &lca, 0.12, &m);
         let q2 = CutQuery::build(&g, &t, &lca, 0.9, &m);
@@ -587,7 +552,7 @@ mod tests {
         let g = generators::path(10, 5);
         let parent: Vec<u32> = (0..10u32).map(|v| v.saturating_sub(1)).collect();
         let t = Arc::new(RootedTree::from_parents(0, &parent));
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for e in 1..10u32 {
@@ -606,13 +571,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(108);
         let g = generators::gnm_connected(30, 80, 6, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         // 300 pairs cycling over 25 distinct ones: plenty of duplicates.
         let pairs: Vec<(u32, u32)> =
             (0..300u32).map(|i| (1 + (i * 7) % 25, 1 + (i * 11) % 25)).collect();
-        let batch = q.cut_batch(&pairs, &m);
+        let mut batch = Vec::new();
+        with_scratch(|s| q.cut_batch_with(&pairs, s, &mut batch, &m));
         for (i, &(e, f)) in pairs.iter().enumerate() {
             assert_eq!(batch[i], q.cut(e, f, &m), "slot {i} pair ({e},{f})");
         }
@@ -620,7 +586,7 @@ mod tests {
         let distinct: std::collections::HashSet<(u32, u32)> =
             pairs.iter().copied().filter(|&(e, f)| e != f).collect();
         let meter = Meter::enabled();
-        let _ = q.cut_batch(&pairs, &meter);
+        with_scratch(|s| q.cut_batch_with(&pairs, s, &mut batch, &meter));
         assert_eq!(meter.get(CostKind::CutQuery), distinct.len() as u64);
     }
 
@@ -629,7 +595,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(107);
         let g = generators::gnm_connected(12, 25, 3, &mut rng);
         let t = spanning_tree_of(&g, 0);
-        let lca = LcaTable::build(&t);
+        let lca = LcaEngine::build(&t, LcaStrategy::Lifting, &Meter::disabled());
         let q = CutQuery::build(&g, &t, &lca, 0.5, &Meter::disabled());
         let meter = Meter::enabled();
         let _ = q.cut(1, 2, &meter);

@@ -21,10 +21,11 @@
 //! Inside [`TreeContext::build`] the mutually independent sub-builds
 //! fork under `rayon::join`: the LCA table feeds the coverage array
 //! while the 2-D range tree, the path decomposition, and the centroid
-//! (or heavy-path) decomposition need only the tree itself. Both
-//! contexts expose a batched query facade (`cov_all` / `cov_batch` /
-//! `cut_batch`) so callers submit query slices instead of single
-//! probes — the substrate the serving/batching layers build on.
+//! (or heavy-path) decomposition need only the tree itself.
+//! [`TreeContext`] exposes a batched query facade (`cov_batch_into` /
+//! `cut_batch_into`) so callers submit query slices into caller-owned
+//! buffers instead of single probes — the substrate the
+//! serving/batching layers build on.
 //!
 //! The one-shot free functions ([`crate::exact_mincut`],
 //! [`crate::two_respecting_mincut`], [`crate::approx_mincut`]) build a
@@ -311,18 +312,6 @@ impl<'g> TreeContext<'g> {
         self.q.cov(e)
     }
 
-    /// The whole coverage array as one slice (batched 1-respecting
-    /// values).
-    #[inline]
-    pub fn cov_all(&self) -> &[u64] {
-        self.q.cov_all()
-    }
-
-    /// Batched coverage lookup.
-    pub fn cov_batch(&self, es: &[u32]) -> Vec<u64> {
-        self.q.cov_batch(es)
-    }
-
     /// Batched coverage lookup into a caller-owned buffer — the
     /// allocation-free steady-state serving form.
     pub fn cov_batch_into(&self, es: &[u32], out: &mut Vec<u64>) {
@@ -335,24 +324,19 @@ impl<'g> TreeContext<'g> {
         self.q.cut(e, f, meter)
     }
 
-    /// Batched 2-respecting cut values: one pass over the pair slice,
-    /// deterministic output order.
-    pub fn cut_batch(&self, pairs: &[(u32, u32)], meter: &Meter) -> Vec<u64> {
-        self.q.cut_batch(pairs, meter)
-    }
-
-    /// Batched 2-respecting cut values into a caller-owned buffer,
-    /// using the calling worker's recycled workspace
-    /// ([`with_scratch`]): with warm buffers the steady-state call
+    /// Batched 2-respecting cut values into a caller-owned buffer (one
+    /// pass over the pair slice, deterministic output order), using the
+    /// calling worker's recycled workspace ([`with_scratch`]): with
+    /// warm buffers the steady-state call
     /// performs zero heap allocations (the counting-allocator gate in
     /// `pmc-bench` pins this).
     pub fn cut_batch_into(&self, pairs: &[(u32, u32)], out: &mut Vec<u64>, meter: &Meter) {
         with_scratch(|s| self.q.cut_batch_with(pairs, s, out, meter));
     }
 
-    /// [`TreeContext::cut_batch`] under a cooperative deadline: answers
-    /// a prefix of the request and flags whether it ran to the end (see
-    /// [`CutQuery::cut_batch_until`]).
+    /// [`TreeContext::cut_batch_into`] under a cooperative deadline:
+    /// answers a prefix of the request and flags whether it ran to the
+    /// end (see [`CutQuery::cut_batch_until`]).
     pub fn cut_batch_until(
         &self,
         pairs: &[(u32, u32)],
@@ -452,7 +436,7 @@ mod tests {
         let one = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
         let seq = one.install(|| TreeContext::build(&g, Arc::clone(&tree), &params, &m));
         assert_eq!(par.solve(&m).cut, seq.solve(&m).cut);
-        assert_eq!(par.cov_all(), seq.cov_all());
+        assert_eq!(par.cut_query().cov_all(), seq.cut_query().cov_all());
     }
 
     #[test]
@@ -465,13 +449,16 @@ mod tests {
         let n = g.n() as u32;
         let root = ctx.tree().root();
         let es: Vec<u32> = (0..n).filter(|&v| v != root).collect();
-        assert_eq!(ctx.cov_batch(&es), es.iter().map(|&e| ctx.cov(e)).collect::<Vec<_>>());
+        let mut covs = Vec::new();
+        ctx.cov_batch_into(&es, &mut covs);
+        assert_eq!(covs, es.iter().map(|&e| ctx.cov(e)).collect::<Vec<_>>());
         let pairs: Vec<(u32, u32)> = es
             .iter()
             .flat_map(|&e| es.iter().map(move |&f| (e, f)))
             .filter(|&(e, f)| e < f)
             .collect();
-        let batch = ctx.cut_batch(&pairs, &m);
+        let mut batch = Vec::new();
+        ctx.cut_batch_into(&pairs, &mut batch, &m);
         for (i, &(e, f)) in pairs.iter().enumerate() {
             assert_eq!(batch[i], ctx.cut(e, f, &m), "pair ({e},{f})");
         }

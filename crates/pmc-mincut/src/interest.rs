@@ -16,8 +16,8 @@
 //! an *up-arm* climbing from `e` that turns downward at most once
 //! (ending at `ce`) — the paper's `de` and `ce` nodes.
 //!
-//! Both arms are traced by a [`DecompositionStrategy`], selected by
-//! [`InterestStrategy`]:
+//! Both arms are traced by an [`InterestEngine`], whose variant the
+//! [`InterestStrategy`] selects:
 //!
 //! * [`CentroidDescent`] (the default, the paper's Claim 4.13): walk
 //!   down the centroid tree maintaining the invariant that the current
@@ -31,16 +31,17 @@
 //! * [`HeavyPathDescent`] (the retained fallback, DESIGN.md §2):
 //!   interest is monotone along any root-down chain, so the arm is
 //!   traced by (1) binary searching its extent along the current heavy
-//!   chain, and (2) locating the unique possible branching child by
-//!   binary search over the children's contiguous postorder intervals.
-//!   Each arm costs `O(log² n)` cut queries.
+//!   path of a [`PathStrategy::HeavyPath`] decomposition, and (2)
+//!   locating the unique possible branching child by binary search
+//!   over the children's contiguous postorder intervals. Each arm
+//!   costs `O(log² n)` cut queries.
 //!
 //! The `tests/complexity_regression.rs` suite turns the asymptotic gap
 //! into an executable check with metered query counts.
 
 use crate::cutquery::CutQuery;
 use pmc_parallel::meter::{CostKind, Meter};
-use pmc_tree::{CentroidDecomposition, LcaEngine};
+use pmc_tree::{CentroidDecomposition, LcaEngine, PathDecomposition, PathStrategy, RootedTree};
 
 /// Endpoints of the interesting path of one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +55,7 @@ pub struct Arms {
 }
 
 /// Which decomposition steers the interest search — the selector for
-/// the two [`DecompositionStrategy`] implementations.
+/// the two [`InterestEngine`] variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterestStrategy {
     /// Heavy-path descent: `O(log² n)` cut queries per edge. The
@@ -76,87 +77,24 @@ impl InterestStrategy {
     }
 }
 
-/// The arm-tracing engine of the interest search.
-///
-/// An implementation traces one arm of `Π(e)`: the maximal descending
-/// run of interesting edges starting below `start` (with at most one
-/// child branch of `start` masked by `exclude`). The two shipped
-/// implementations are [`HeavyPathDescent`] and [`CentroidDescent`];
-/// both rely only on the public query surface of [`InterestSearch`].
-pub trait DecompositionStrategy: Sync {
-    /// Deepest vertex of the arm of `e` descending from `start`
-    /// (`start` itself when the arm is empty). `exclude` masks one
-    /// child branch of `start` — the branch the up-arm arrived from.
-    fn descend(
-        &self,
-        search: &InterestSearch<'_>,
-        e: u32,
-        start: u32,
-        cov_e: u64,
-        exclude: Option<u32>,
-        meter: &Meter,
-    ) -> u32;
-
-    /// Stable display name (experiment tables, logs).
-    fn name(&self) -> &'static str;
-}
-
 /// Heavy-path descent (DESIGN.md §2): `O(log² n)` cut queries per arm.
+///
+/// Walks the heavy paths of a [`PathStrategy::HeavyPath`]
+/// decomposition, each listed top to bottom. Every non-root vertex `c`
+/// sits at `pos_of(c)` on path `path_of(c)`; the descent only ever
+/// looks up children, never the root.
 pub struct HeavyPathDescent {
-    /// Heavy chains flattened CSR-style: chain `c` is
-    /// `chain_nodes[chain_offsets[c]..chain_offsets[c + 1]]`, vertices
-    /// listed top to bottom (every vertex is on exactly one chain, so
-    /// the node arena has exactly `n` entries).
-    chain_nodes: Vec<u32>,
-    chain_offsets: Vec<u32>,
-    chain_of: Vec<u32>,
-    chain_pos: Vec<u32>,
+    paths: PathDecomposition,
 }
 
 impl HeavyPathDescent {
-    pub fn build(tree: &pmc_tree::RootedTree, meter: &Meter) -> Self {
-        let n = tree.n();
-        meter.add(CostKind::TreeOp, n as u64);
-        let mut chain_of = vec![u32::MAX; n];
-        let mut chain_pos = vec![u32::MAX; n];
-        let mut chain_nodes = Vec::with_capacity(n);
-        let mut chain_offsets = vec![0u32];
-        for v in 0..n as u32 {
-            let is_head = v == tree.root()
-                || tree.heavy_child(tree.parent(v)) != Some(v);
-            if !is_head {
-                continue;
-            }
-            let id = chain_offsets.len() as u32 - 1;
-            let start = chain_nodes.len();
-            chain_nodes.push(v);
-            let mut cur = v;
-            while let Some(h) = tree.heavy_child(cur) {
-                chain_nodes.push(h);
-                cur = h;
-            }
-            for (i, &x) in chain_nodes[start..].iter().enumerate() {
-                chain_of[x as usize] = id;
-                chain_pos[x as usize] = i as u32;
-            }
-            chain_offsets.push(chain_nodes.len() as u32);
-        }
-        HeavyPathDescent { chain_nodes, chain_offsets, chain_of, chain_pos }
+    pub fn build(tree: &RootedTree, meter: &Meter) -> Self {
+        HeavyPathDescent { paths: PathDecomposition::build(tree, PathStrategy::HeavyPath, meter) }
     }
 
-    /// One heavy chain as a slice of the flat node arena.
-    #[inline]
-    fn chain(&self, id: u32) -> &[u32] {
-        let lo = self.chain_offsets[id as usize] as usize;
-        let hi = self.chain_offsets[id as usize + 1] as usize;
-        &self.chain_nodes[lo..hi]
-    }
-}
-
-impl DecompositionStrategy for HeavyPathDescent {
     /// Trace an arm downward from `start`: repeatedly (1) find the
     /// unique interesting child branch (none -> stop), (2) binary
-    /// search the arm's extent along that child's heavy chain.
+    /// search the arm's extent along that child's heavy path.
     fn descend(
         &self,
         search: &InterestSearch<'_>,
@@ -173,28 +111,23 @@ impl DecompositionStrategy for HeavyPathDescent {
             };
             exclude = None;
             // Binary search the deepest interesting edge on c's heavy
-            // chain (interest is monotone along the vertical chain).
-            let chain = self.chain(self.chain_of[c as usize]);
-            let k = self.chain_pos[c as usize] as usize;
-            let (mut lo, mut hi) = (k, chain.len() - 1);
+            // path (interest is monotone along the vertical chain).
+            let path = self.paths.path(self.paths.path_of(c));
+            let (mut lo, mut hi) = (self.paths.pos_of(c) as usize, path.len() - 1);
             while lo < hi {
                 let mid = (lo + hi).div_ceil(2);
-                if search.interesting(e, chain[mid], meter) {
+                if search.interesting(e, path[mid], meter) {
                     lo = mid;
                 } else {
                     hi = mid - 1;
                 }
             }
-            let x = chain[lo];
+            let x = path[lo];
             if x == v {
                 return v;
             }
             v = x;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        InterestStrategy::HeavyPath.name()
     }
 }
 
@@ -215,17 +148,12 @@ pub struct CentroidDescent {
 }
 
 impl CentroidDescent {
-    pub fn build(tree: &pmc_tree::RootedTree, meter: &Meter) -> Self {
+    pub fn build(tree: &RootedTree, meter: &Meter) -> Self {
         CentroidDescent { cd: CentroidDecomposition::build(tree, meter) }
     }
 
-    /// The underlying decomposition (tests, experiments).
-    pub fn decomposition(&self) -> &CentroidDecomposition {
-        &self.cd
-    }
-}
-
-impl DecompositionStrategy for CentroidDescent {
+    /// Deepest vertex of the arm of `e` descending from `start`; see
+    /// [`InterestEngine::descend`].
     fn descend(
         &self,
         search: &InterestSearch<'_>,
@@ -280,18 +208,12 @@ impl DecompositionStrategy for CentroidDescent {
             c = cd.child_toward(c, route_to);
         }
     }
-
-    fn name(&self) -> &'static str {
-        InterestStrategy::Centroid.name()
-    }
 }
 
-/// A built arm-tracing engine: the tree-lifetime state of the interest
-/// search (heavy chains or the centroid decomposition). Building one is
-/// the expensive part of [`InterestSearch::build`]; a
-/// [`crate::engine::TreeContext`] constructs it once per packed tree and
-/// binds it to fresh [`InterestSearch`] views via
-/// [`InterestSearch::with_engine`] without rebuilding.
+/// The tree-lifetime arm-tracing engine of the interest search (heavy
+/// paths or the centroid decomposition). A [`crate::engine::TreeContext`]
+/// builds it once per packed tree and binds it to fresh
+/// [`InterestSearch`] views without rebuilding.
 pub enum InterestEngine {
     HeavyPath(HeavyPathDescent),
     Centroid(CentroidDescent),
@@ -299,7 +221,7 @@ pub enum InterestEngine {
 
 impl InterestEngine {
     /// Build the tree-lifetime engine for `strategy`.
-    pub fn build(tree: &pmc_tree::RootedTree, strategy: InterestStrategy, meter: &Meter) -> Self {
+    pub fn build(tree: &RootedTree, strategy: InterestStrategy, meter: &Meter) -> Self {
         match strategy {
             InterestStrategy::HeavyPath => {
                 InterestEngine::HeavyPath(HeavyPathDescent::build(tree, meter))
@@ -310,18 +232,24 @@ impl InterestEngine {
         }
     }
 
-    /// The engine as a trait object.
-    pub fn strategy(&self) -> &dyn DecompositionStrategy {
+    /// Deepest vertex of the arm of `e` descending from `start`
+    /// (`start` itself when the arm is empty): the maximal descending
+    /// run of interesting edges below `start`. `exclude` masks one child
+    /// branch of `start` — the branch the up-arm arrived from.
+    fn descend(
+        &self,
+        search: &InterestSearch<'_>,
+        e: u32,
+        start: u32,
+        cov_e: u64,
+        exclude: Option<u32>,
+        meter: &Meter,
+    ) -> u32 {
         match self {
-            InterestEngine::HeavyPath(h) => h,
-            InterestEngine::Centroid(c) => c,
+            InterestEngine::HeavyPath(h) => h.descend(search, e, start, cov_e, exclude, meter),
+            InterestEngine::Centroid(c) => c.descend(search, e, start, cov_e, exclude, meter),
         }
     }
-}
-
-enum EngineRef<'a> {
-    Owned(InterestEngine),
-    Borrowed(&'a InterestEngine),
 }
 
 /// Interest-path search over a fixed [`CutQuery`] structure.
@@ -333,39 +261,14 @@ enum EngineRef<'a> {
 pub struct InterestSearch<'a> {
     q: &'a CutQuery<'a>,
     lca: &'a LcaEngine,
-    engine: EngineRef<'a>,
+    engine: &'a InterestEngine,
 }
 
 impl<'a> InterestSearch<'a> {
-    /// Build the search with the given arm-tracing strategy (building
-    /// the engine from scratch; use [`InterestSearch::with_engine`] to
-    /// reuse a prebuilt one).
-    pub fn build(
-        q: &'a CutQuery<'a>,
-        lca: &'a LcaEngine,
-        strategy: InterestStrategy,
-        meter: &Meter,
-    ) -> Self {
-        let engine = InterestEngine::build(q.tree(), strategy, meter);
-        InterestSearch { q, lca, engine: EngineRef::Owned(engine) }
-    }
-
-    /// Bind the search to a prebuilt tree-lifetime engine — the reuse
-    /// path of the two-level solver engine: no per-call rebuild.
-    pub fn with_engine(
-        q: &'a CutQuery<'a>,
-        lca: &'a LcaEngine,
-        engine: &'a InterestEngine,
-    ) -> Self {
-        InterestSearch { q, lca, engine: EngineRef::Borrowed(engine) }
-    }
-
-    /// The active arm-tracing engine.
-    pub fn strategy(&self) -> &dyn DecompositionStrategy {
-        match &self.engine {
-            EngineRef::Owned(e) => e.strategy(),
-            EngineRef::Borrowed(e) => e.strategy(),
-        }
+    /// Bind the search to a built tree-lifetime engine (no per-call
+    /// rebuild).
+    pub fn new(q: &'a CutQuery<'a>, lca: &'a LcaEngine, engine: &'a InterestEngine) -> Self {
+        InterestSearch { q, lca, engine }
     }
 
     /// Is `f` interesting for `e` (`2 cov(e,f) > cov(e)`)?
@@ -382,9 +285,8 @@ impl<'a> InterestSearch<'a> {
         if cov_e == 0 {
             return Arms { de: e, ce: e };
         }
-        let strategy = self.strategy();
         // Down-arm: descend inside subtree(e).
-        let de = strategy.descend(self, e, e, cov_e, None, meter);
+        let de = self.engine.descend(self, e, e, cov_e, None, meter);
 
         // Up-arm: highest interesting ancestor edge by binary search on
         // depth (interest decreases going up).
@@ -417,7 +319,7 @@ impl<'a> InterestSearch<'a> {
             Some(x_star) => (tree.parent(x_star), x_star),
             None => (tree.parent(e), e),
         };
-        let over = strategy.descend(self, e, turn_node, cov_e, Some(exclude), meter);
+        let over = self.engine.descend(self, e, turn_node, cov_e, Some(exclude), meter);
         let ce = if over == turn_node { e } else { over };
         Arms { de, ce }
     }
@@ -567,8 +469,9 @@ mod tests {
             let f = fixture(24, 50, 200 + seed);
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
-            let is =
-                InterestSearch::build(&q, &lca, InterestStrategy::default(), &Meter::disabled());
+            let engine =
+                InterestEngine::build(q.tree(), InterestStrategy::default(), &Meter::disabled());
+            let is = InterestSearch::new(&q, &lca, &engine);
             let m = Meter::disabled();
             for e in 1..24u32 {
                 let set = is.brute_interesting_set(e, &m);
@@ -613,7 +516,8 @@ mod tests {
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.4, &Meter::disabled());
             let m = Meter::disabled();
             for strategy in BOTH {
-                let is = InterestSearch::build(&q, &lca, strategy, &m);
+                let engine = InterestEngine::build(q.tree(), strategy, &m);
+                let is = InterestSearch::new(&q, &lca, &engine);
                 for e in 1..30u32 {
                     let arms = is.arms(e, &m);
                     let set = is.brute_interesting_set(e, &m);
@@ -642,8 +546,11 @@ mod tests {
             let lca = lca_of(&f.tree);
             let q = CutQuery::build(&f.g, &f.tree, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
-            let heavy = InterestSearch::build(&q, &lca, InterestStrategy::HeavyPath, &m);
-            let centroid = InterestSearch::build(&q, &lca, InterestStrategy::Centroid, &m);
+            let heavy_engine = InterestEngine::build(q.tree(), InterestStrategy::HeavyPath, &m);
+            let heavy = InterestSearch::new(&q, &lca, &heavy_engine);
+            let centroid_engine =
+                InterestEngine::build(q.tree(), InterestStrategy::Centroid, &m);
+            let centroid = InterestSearch::new(&q, &lca, &centroid_engine);
             for e in 1..28u32 {
                 assert_eq!(
                     heavy.arms(e, &m),
@@ -671,7 +578,8 @@ mod tests {
             let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
             let m = Meter::disabled();
             for strategy in BOTH {
-                let is = InterestSearch::build(&q, &lca, strategy, &m);
+                let engine = InterestEngine::build(q.tree(), strategy, &m);
+                let is = InterestSearch::new(&q, &lca, &engine);
                 for e in (0..g.n() as u32).filter(|&v| v != tree.root()) {
                     let arms = is.arms(e, &m);
                     let set = is.brute_interesting_set(e, &m);
@@ -699,7 +607,8 @@ mod tests {
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
         let m = Meter::disabled();
         for strategy in BOTH {
-            let is = InterestSearch::build(&q, &lca, strategy, &m);
+            let engine = InterestEngine::build(q.tree(), strategy, &m);
+            let is = InterestSearch::new(&q, &lca, &engine);
             for e in 1..12u32 {
                 assert!(is.brute_interesting_set(e, &m).is_empty());
                 let arms = is.arms(e, &m);
@@ -724,7 +633,8 @@ mod tests {
         // Every tree edge is covered by the chord (weight 5) and itself
         // (weight 1): cov = 6, cov2 = 5 between any two tree edges.
         for strategy in BOTH {
-            let is = InterestSearch::build(&q, &lca, strategy, &m);
+            let engine = InterestEngine::build(q.tree(), strategy, &m);
+            let is = InterestSearch::new(&q, &lca, &engine);
             for e in 1..10u32 {
                 assert_eq!(q.cov(e), 6);
                 let set = is.brute_interesting_set(e, &m);
@@ -771,7 +681,9 @@ mod tests {
         let tree = std::sync::Arc::new(RootedTree::from_parents(0, &[0, 0, 0, 1, 2, 4]));
         let lca = lca_of(&tree);
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
-        let is = InterestSearch::build(&q, &lca, InterestStrategy::default(), &Meter::disabled());
+        let engine =
+            InterestEngine::build(q.tree(), InterestStrategy::default(), &Meter::disabled());
+        let is = InterestSearch::new(&q, &lca, &engine);
         let m = Meter::disabled();
         let (e, f, e_prime) = (3u32, 5u32, 4u32);
         // e is cross-interested in f and vice versa.
@@ -793,7 +705,8 @@ mod tests {
         let lca = lca_of(&tree);
         let q = CutQuery::build(&g, &tree, &lca, 0.5, &Meter::disabled());
         let count = |strategy: InterestStrategy| -> u64 {
-            let is = InterestSearch::build(&q, &lca, strategy, &Meter::disabled());
+            let engine = InterestEngine::build(q.tree(), strategy, &Meter::disabled());
+            let is = InterestSearch::new(&q, &lca, &engine);
             let meter = Meter::enabled();
             for &e in &spine[1..] {
                 is.arms(e, &meter);

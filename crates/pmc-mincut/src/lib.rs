@@ -10,7 +10,7 @@
 //! * [`interest`]: the cross-/down-interest search of Definition 4.7 /
 //!   Claims 4.8, 4.13 — per tree edge, the endpoints `ce`/`de` of the
 //!   path of edges it is interested in, traced by an
-//!   [`interest::DecompositionStrategy`] (centroid descent by default,
+//!   [`interest::InterestEngine`] (centroid descent by default,
 //!   heavy-path descent as the fallback).
 //! * [`two_respect`]: the minimum 2-respecting cut of a spanning tree
 //!   (Theorem 4.2): path decomposition, partial-Monge single-path
@@ -65,8 +65,7 @@ pub use exact::{exact_mincut, exact_mincut_in, mincut_small_in, ExactParams, Exa
 pub use pmc_fault::{Deadline, DegradeReason, FaultPlan, PmcError, SolveQuality};
 pub use robust::exact_mincut_robust;
 pub use interest::{
-    Arms, CentroidDescent, DecompositionStrategy, HeavyPathDescent, InterestEngine,
-    InterestSearch, InterestStrategy,
+    Arms, CentroidDescent, HeavyPathDescent, InterestEngine, InterestSearch, InterestStrategy,
 };
 pub use packing::{greedy_tree_packing, PackingParams};
 pub use two_respect::{naive_two_respecting, two_respecting_mincut, TwoRespectParams};

@@ -1,8 +1,8 @@
 //! Reusable scratch workspaces for the allocation-free query path.
 //!
 //! The steady-state serving story (ROADMAP: cut-query serving) needs
-//! `cut_batch`/`cov_batch` and the per-tree solve stages to stop paying
-//! the allocator on every call. A [`Scratch`] bundles every transient
+//! `cut_batch_into`/`cov_batch_into` and the per-tree solve stages to
+//! stop paying the allocator on every call. A [`Scratch`] bundles every transient
 //! buffer those kernels need — packed sort keys, run boundaries, rect
 //! batches, range-tree cover items, Euler-tour sweep state — as plain
 //! `Vec`s that are `clear()`ed (capacity retained) instead of dropped.
@@ -44,16 +44,10 @@ pub struct Scratch {
     pub rects: Vec<(u32, u32, u32, u32, u32)>,
     /// Range-tree cover items `(packed level/node, packed y-range, tag)`.
     pub cover: Vec<(u64, u64, u32)>,
-    /// `(a, b)` vertex pairs (batched LCA requests).
-    pub pairs: Vec<(u32, u32)>,
-    /// `u32` results (batched LCA answers).
-    pub idx: Vec<u32>,
     /// Packed `(position, query)` orderings for offline sweeps.
     pub order: Vec<u64>,
     /// Monotone-stack positions for offline sweeps.
     pub stack: Vec<u32>,
-    /// Radix-sort workspace for `(u64, u32)` items.
-    pub sort2: SortScratch<(u64, u32)>,
     /// Radix-sort workspace for `(u64, u32, u32)` items (symmetric join).
     pub sort3: SortScratch<(u64, u32, u32)>,
 }
@@ -105,15 +99,15 @@ mod tests {
     #[test]
     fn with_scratch_is_reentrant() {
         let (a, b) = with_scratch(|outer| {
-            outer.idx.clear();
-            outer.idx.push(7);
+            outer.stack.clear();
+            outer.stack.push(7);
             let inner_val = with_scratch(|inner| {
                 // The nested workspace is a different object.
-                inner.idx.clear();
-                inner.idx.push(9);
-                inner.idx[0]
+                inner.stack.clear();
+                inner.stack.push(9);
+                inner.stack[0]
             });
-            (outer.idx[0], inner_val)
+            (outer.stack[0], inner_val)
         });
         assert_eq!((a, b), (7, 9));
     }

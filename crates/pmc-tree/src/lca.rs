@@ -1,6 +1,6 @@
-//! Binary-lifting LCA, level-ancestor queries, and the pluggable
-//! [`LcaEngine`] that dispatches between lifting and the O(1)
-//! sparse-table path.
+//! Binary-lifting LCA, level-ancestor queries, and [`LcaEngine`], which
+//! dispatches each query between lifting and the O(1) sparse-table path
+//! with one `match` on its [`LcaStrategy`].
 //!
 //! The interest search (§4.1.3) binary-searches along root-to-vertex
 //! chains; [`LcaTable::ancestor_at_depth`] provides the `O(log n)` jump
@@ -137,100 +137,6 @@ impl LcaStrategy {
     }
 }
 
-/// Anything that can answer LCA queries with metered step accounting.
-///
-/// `lca_metered` charges [`CostKind::LcaStep`] with the number of table
-/// probes the query performs — `levels()` for binary lifting (grows
-/// with `log n`), exactly 1 for the sparse-table path. The ablation
-/// harness reads this gauge to *record* (not assert) that the O(1)
-/// engine's per-query cost does not grow with depth.
-pub trait LcaOracle: Sync {
-    /// Lowest common ancestor of `a` and `b`.
-    fn lca(&self, a: u32, b: u32) -> u32;
-    /// Depth of vertex `v` (named to avoid colliding with the inherent
-    /// `depth` accessors of the implementors).
-    fn node_depth(&self, v: u32) -> u32;
-    /// [`LcaOracle::lca`] plus a [`CostKind::LcaStep`] charge per table
-    /// probe.
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32;
-
-    /// Batched [`LcaOracle::lca_metered`]: answer `pairs[i]` into
-    /// `out[i]`, reusing `scratch` buffers so a warm steady state
-    /// allocates nothing. The default walks the per-query path (so the
-    /// metered step totals are unchanged); [`SparseLca`] overrides it
-    /// with the one-pass Euler-tour sweep
-    /// ([`SparseLca::lca_batch_into`]), which is bit-identical to the
-    /// per-query RMQs — the differential suites pin both the values and
-    /// the step totals.
-    fn lca_batch_metered(
-        &self,
-        pairs: &[(u32, u32)],
-        out: &mut Vec<u32>,
-        scratch: &mut Scratch,
-        meter: &Meter,
-    ) {
-        let _ = scratch;
-        out.clear();
-        out.reserve(pairs.len());
-        for &(a, b) in pairs {
-            out.push(self.lca_metered(a, b, meter));
-        }
-    }
-}
-
-impl LcaOracle for LcaTable {
-    #[inline]
-    fn lca(&self, a: u32, b: u32) -> u32 {
-        LcaTable::lca(self, a, b)
-    }
-
-    #[inline]
-    fn node_depth(&self, v: u32) -> u32 {
-        self.depth(v)
-    }
-
-    #[inline]
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
-        // The lifting descent examines every jump level once (plus the
-        // equalizing kth_ancestor walk, same order) — charge one step
-        // per level so the gauge scales like the real probe count.
-        meter.add(CostKind::LcaStep, self.levels() as u64);
-        LcaTable::lca(self, a, b)
-    }
-}
-
-impl LcaOracle for SparseLca {
-    #[inline]
-    fn lca(&self, a: u32, b: u32) -> u32 {
-        SparseLca::lca(self, a, b)
-    }
-
-    #[inline]
-    fn node_depth(&self, v: u32) -> u32 {
-        self.depth(v)
-    }
-
-    #[inline]
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
-        // One O(1) RMQ probe, whatever the tree depth.
-        meter.bump(CostKind::LcaStep);
-        SparseLca::lca(self, a, b)
-    }
-
-    fn lca_batch_metered(
-        &self,
-        pairs: &[(u32, u32)],
-        out: &mut Vec<u32>,
-        scratch: &mut Scratch,
-        meter: &Meter,
-    ) {
-        // Same charge as pairs.len() per-query probes — the sweep
-        // changes the constant factors, never the gauge.
-        meter.add(CostKind::LcaStep, pairs.len() as u64);
-        self.lca_batch_into(pairs, out, &mut scratch.order, &mut scratch.stack);
-    }
-}
-
 /// The LCA substrate a solver context carries: always the lifting table
 /// (level ancestors need it), plus the O(1) sparse structure when
 /// [`LcaStrategy::SparseTable`] is selected. `lca`/`distance` dispatch
@@ -300,37 +206,49 @@ impl LcaEngine {
             None => self.lifting.distance(a, b),
         }
     }
-}
 
-impl LcaOracle for LcaEngine {
+    /// Table probes one `lca` query performs: exactly 1 on the sparse
+    /// table, `levels()` for binary lifting (its descent examines every
+    /// jump level once, plus the equalizing walk in the same order).
     #[inline]
-    fn lca(&self, a: u32, b: u32) -> u32 {
-        LcaEngine::lca(self, a, b)
-    }
-
-    #[inline]
-    fn node_depth(&self, v: u32) -> u32 {
-        self.depth(v)
-    }
-
-    #[inline]
-    fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
+    fn probes_per_query(&self) -> u64 {
         match &self.sparse {
-            Some(s) => s.lca_metered(a, b, meter),
-            None => self.lifting.lca_metered(a, b, meter),
+            Some(_) => 1,
+            None => self.lifting.levels() as u64,
         }
     }
 
-    fn lca_batch_metered(
+    /// [`LcaEngine::lca`] plus a [`CostKind::LcaStep`] charge per table
+    /// probe. The ablation harness reads this gauge to *record* (not
+    /// assert) that the O(1) engine's per-query cost does not grow with
+    /// depth.
+    #[inline]
+    pub fn lca_metered(&self, a: u32, b: u32, meter: &Meter) -> u32 {
+        meter.add(CostKind::LcaStep, self.probes_per_query());
+        self.lca(a, b)
+    }
+
+    /// Batched [`LcaEngine::lca_metered`]: answer `pairs[i]` into
+    /// `out[i]`, reusing `scratch` buffers so a warm steady state
+    /// allocates nothing. The sparse table answers with the one-pass
+    /// Euler-tour sweep ([`SparseLca::lca_batch_into`]), bit-identical
+    /// to per-query RMQs; lifting walks the per-query path. Either way
+    /// the charge is the per-query step total — the differential suites
+    /// pin both the values and the step totals.
+    pub fn lca_batch_metered(
         &self,
         pairs: &[(u32, u32)],
         out: &mut Vec<u32>,
         scratch: &mut Scratch,
         meter: &Meter,
     ) {
+        meter.add(CostKind::LcaStep, self.probes_per_query() * pairs.len() as u64);
         match &self.sparse {
-            Some(s) => s.lca_batch_metered(pairs, out, scratch, meter),
-            None => self.lifting.lca_batch_metered(pairs, out, scratch, meter),
+            Some(s) => s.lca_batch_into(pairs, out, &mut scratch.order, &mut scratch.stack),
+            None => {
+                out.clear();
+                out.extend(pairs.iter().map(|&(a, b)| self.lifting.lca(a, b)));
+            }
         }
     }
 }

@@ -39,8 +39,12 @@ fn empty_batches_are_empty_and_exact() {
     let g = generators::path(8, 5);
     let meter = Meter::disabled();
     let tc = path_tree_context(&g, &TwoRespectParams::default(), &meter);
-    assert!(tc.cov_batch(&[]).is_empty());
-    assert!(tc.cut_batch(&[], &meter).is_empty());
+    let mut covs = vec![7];
+    tc.cov_batch_into(&[], &mut covs);
+    assert!(covs.is_empty());
+    let mut cuts = vec![7];
+    tc.cut_batch_into(&[], &mut cuts, &meter);
+    assert!(cuts.is_empty());
     let outcome = tc.cut_batch_until(&[], &Deadline::never(), &meter);
     assert!(outcome.values.is_empty());
     assert_eq!(outcome.completed, 0);
@@ -54,11 +58,13 @@ fn cut_batch_until_respects_the_deadline() {
     let tc = path_tree_context(&g, &TwoRespectParams::default(), &meter);
     let pairs: Vec<(u32, u32)> =
         (1..8u32).flat_map(|e| (1..8u32).map(move |f| (e, f))).collect();
-    // Live deadline: the full batch completes and matches cut_batch.
+    // Live deadline: the full batch completes and matches cut_batch_into.
     let full = tc.cut_batch_until(&pairs, &Deadline::never(), &meter);
     assert_eq!(full.completed, pairs.len());
     assert!(full.quality.is_exact());
-    assert_eq!(full.values, tc.cut_batch(&pairs, &meter));
+    let mut cuts = Vec::new();
+    tc.cut_batch_into(&pairs, &mut cuts, &meter);
+    assert_eq!(full.values, cuts);
     // Expired deadline: a flagged empty prefix, not a hang or a panic.
     let expired = tc.cut_batch_until(&pairs, &Deadline::ticks(0), &meter);
     assert_eq!(expired.completed, 0);
